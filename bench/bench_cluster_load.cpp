@@ -20,7 +20,7 @@
 // snapshot, reopens it in a second box via mmap, and probes both boxes
 // with identical request streams. Reports serve throughput, snapshot
 // size, save/load seconds (load must be O(seconds): the open is a map +
-// directory rebuild, not a parse), resident-set bytes, and a bit-identity
+// checksum pass + directory rebuild, not a parse), resident-set bytes, and a bit-identity
 // check between the in-memory and snapshot-mapped serving paths.
 #include <sys/stat.h>
 
@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
                 live_serve_seconds);
 
     // Reopen the snapshot in a second box: the load is a header check, an
-    // mmap, and a directory rebuild -- not a parse of the payload.
+    // mmap, one checksum pass, and a directory rebuild -- not a parse.
     core::ConcurrentEdge mapped_edge(mega_config);
     timer.reset();
     const util::Status open_status = mapped_edge.open_snapshot(snapshot_path);

@@ -158,15 +158,25 @@ util::Status ConcurrentEdge::open_snapshot(const std::string& path) {
   snapshot::Reader reader(opened.value().mapping,
                           opened.value().payload_offset,
                           opened.value().payload_end);
+  util::Status status;
+  std::size_t loaded = 0;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     ++shard->lock_count;
-    if (util::Status s = shard->device->read_snapshot_section(reader);
-        !s.ok()) {
-      return s;
-    }
+    status = shard->device->read_snapshot_section(reader);
+    if (!status.ok()) break;
+    ++loaded;
   }
-  return util::Status();
+  // All or nothing: a bad section empties the shards loaded before it.
+  // Serving those users from a partial box would hand the failed shard's
+  // users fresh n-fold draws.
+  for (std::size_t i = 0; !status.ok() && i < loaded; ++i) {
+    Shard& shard = *shards_[i];
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    ++shard.lock_count;
+    shard.device->discard_snapshot_section();
+  }
+  return status;
 }
 
 void ConcurrentEdge::publish_shard_counters() const {

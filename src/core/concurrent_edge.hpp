@@ -102,6 +102,8 @@ class ConcurrentEdge {
   /// Returns kIoError / kParseError on damage, kFailedPrecondition when
   /// any shard already holds users or the snapshot's shard count differs
   /// from this box's (the shard hash must agree with the saved layout).
+  /// All or nothing: on any error no shard keeps a loaded section, so a
+  /// later open of a good file on the same box succeeds.
   util::Status open_snapshot(const std::string& path);
 
   /// Box-wide telemetry snapshot, read lock-free off the shared registry.

@@ -338,12 +338,20 @@ util::Status EdgeDevice::read_snapshot_section(snapshot::Reader& reader) {
     return util::Status::failed_precondition(
         "cannot open a snapshot into a device that already holds users");
   }
-  if (util::Status s = arena_.load(reader); !s.ok()) return s;
+  if (util::Status s = arena_.load(reader); !s.ok()) {
+    discard_snapshot_section();
+    return s;
+  }
   custom_mechanisms_.clear();
   for (const auto& [row, params] : arena_.all_custom_params()) {
     custom_mechanisms_.emplace(row, lppm::NFoldGaussianMechanism(params));
   }
   return util::Status();
+}
+
+void EdgeDevice::discard_snapshot_section() {
+  arena_ = UserArena(rng::Engine(config_.seed));
+  custom_mechanisms_.clear();
 }
 
 const std::vector<attack::ProfileEntry>& EdgeDevice::top_locations(

@@ -252,17 +252,23 @@ class EdgeDevice {
 
   /// Replaces this (empty) device's data plane with a mapped snapshot:
   /// the bulk columns are adopted from the read-only mapping in place, so
-  /// opening is O(map + directory rebuild). Serving then resumes exactly
-  /// where the saved device left off -- bit-identical outputs, because
-  /// the per-user RNG streams are part of the snapshot. Returns
-  /// kIoError / kParseError on damage, kFailedPrecondition when this
-  /// device already holds users or the snapshot is multi-shard.
+  /// opening is O(map + checksum + directory rebuild). Serving then
+  /// resumes exactly where the saved device left off -- bit-identical
+  /// outputs, because the per-user RNG streams are part of the snapshot.
+  /// Returns kIoError / kParseError on damage (the device is then left
+  /// empty), kFailedPrecondition when this device already holds users or
+  /// the snapshot is multi-shard.
   util::Status open_snapshot(const std::string& path);
 
   /// Section-level halves of save/open, used by ConcurrentEdge to pack
-  /// one section per shard into a single snapshot file.
+  /// one section per shard into a single snapshot file. A failed read
+  /// leaves the device empty.
   void write_snapshot_section(snapshot::Writer& writer);
   util::Status read_snapshot_section(snapshot::Reader& reader);
+  /// Returns the device to its freshly constructed, empty data plane: the
+  /// one reset after a failed section read, here and in ConcurrentEdge's
+  /// rollback of the shards loaded before a failing one.
+  void discard_snapshot_section();
 
   /// Per-user privacy ledger: one charge per nomadic (one-time) release,
   /// one charge per permanent candidate-set generation. Replayed candidates

@@ -5,6 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -103,6 +105,124 @@ std::uint64_t fnv1a64(const void* data, std::size_t n, std::uint64_t state) {
   return state;
 }
 
+// ------------------------------------------------------------------- XXH64
+
+namespace {
+
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+// Unaligned little-endian reads go through memcpy: the payload pieces the
+// writer streams start at arbitrary offsets.
+std::uint64_t read64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+std::uint32_t read32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t input) {
+  acc += input * kPrime2;
+  acc = std::rotl(acc, 31);
+  return acc * kPrime1;
+}
+
+std::uint64_t xxh_merge(std::uint64_t acc, std::uint64_t lane) {
+  acc ^= xxh_round(0, lane);
+  return acc * kPrime1 + kPrime4;
+}
+
+/// Consumes every whole 32-byte stripe of [p, p+n); returns the bytes used.
+std::size_t consume_stripes(std::uint64_t (&lanes)[4], const std::uint8_t* p,
+                            std::size_t n) {
+  std::uint64_t v1 = lanes[0], v2 = lanes[1], v3 = lanes[2], v4 = lanes[3];
+  std::size_t used = 0;
+  for (; n - used >= 32; used += 32) {
+    v1 = xxh_round(v1, read64(p + used));
+    v2 = xxh_round(v2, read64(p + used + 8));
+    v3 = xxh_round(v3, read64(p + used + 16));
+    v4 = xxh_round(v4, read64(p + used + 24));
+  }
+  lanes[0] = v1;
+  lanes[1] = v2;
+  lanes[2] = v3;
+  lanes[3] = v4;
+  return used;
+}
+
+}  // namespace
+
+// Seed 0: the lanes start at {P1 + P2, P2, 0, -P1}, and a short input's
+// digest starts at P5.
+Xxh64::Xxh64() : lanes_{kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1} {}
+
+void Xxh64::update(const void* data, std::size_t n) {
+  if (n == 0) return;
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  total_ += n;
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(n, sizeof(stripe_) - buffered_);
+    std::memcpy(stripe_ + buffered_, p, take);
+    buffered_ += take;
+    p += take;
+    n -= take;
+    if (buffered_ < sizeof(stripe_)) return;
+    consume_stripes(lanes_, stripe_, sizeof(stripe_));
+    buffered_ = 0;
+  }
+  const std::size_t used = consume_stripes(lanes_, p, n);
+  std::memcpy(stripe_, p + used, n - used);
+  buffered_ = n - used;
+}
+
+std::uint64_t Xxh64::digest() const {
+  std::uint64_t h = 0;
+  if (total_ >= 32) {
+    h = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+        std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+    for (const std::uint64_t lane : lanes_) h = xxh_merge(h, lane);
+  } else {
+    h = kPrime5;
+  }
+  h += total_;
+  const std::uint8_t* p = stripe_;
+  std::size_t left = buffered_;
+  for (; left >= 8; left -= 8, p += 8) {
+    h ^= xxh_round(0, read64(p));
+    h = std::rotl(h, 27) * kPrime1 + kPrime4;
+  }
+  if (left >= 4) {
+    h ^= std::uint64_t{read32(p)} * kPrime1;
+    h = std::rotl(h, 23) * kPrime2 + kPrime3;
+    left -= 4;
+    p += 4;
+  }
+  for (; left > 0; --left, ++p) {
+    h ^= *p * kPrime5;
+    h = std::rotl(h, 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
+  return h;
+}
+
+std::uint64_t xxh64(const void* data, std::size_t n) {
+  Xxh64 hash;
+  hash.update(data, n);
+  return hash.digest();
+}
+
 // ------------------------------------------------------------------ Writer
 
 Writer::Writer(const std::string& path, std::uint32_t shard_count)
@@ -148,7 +268,7 @@ void Writer::write_bytes(const void* data, std::size_t n) {
   buffer_.insert(buffer_.end(), bytes, bytes + n);
   if (buffer_.size() >= kWriterBufferBytes) flush_buffer();
   if (!status_.ok()) return;
-  checksum_ = fnv1a64(data, n, checksum_);
+  checksum_.update(data, n);
   payload_bytes_ += n;
 }
 
@@ -183,7 +303,8 @@ util::Status Writer::finish() {
     put(&shard_count_, 4);
     put(&reserved, 4);
     put(&payload_bytes_, 8);
-    put(&checksum_, 8);
+    const std::uint64_t checksum = checksum_.digest();
+    put(&checksum, 8);
     if (!pwrite_all(fd_, header, kHeaderBytes, 0)) {
       status_ = util::Status::io_error("cannot patch snapshot header: " +
                                        tmp_path_ + errno_suffix());
@@ -279,11 +400,12 @@ util::Result<OpenedSnapshot> open_validated(const std::string& path) {
     return util::Status::parse_error("not a PrivLocAd snapshot (bad magic): " +
                                      path);
   }
-  if (get_u32(8) != kFormatVersion) {
+  const std::uint32_t version = get_u32(8);
+  if (version != kFormatVersion && version != kFnvFormatVersion) {
     return util::Status::parse_error(
-        "unsupported snapshot format version " +
-        std::to_string(get_u32(8)) + " (this build reads version " +
-        std::to_string(kFormatVersion) + "): " + path);
+        "unsupported snapshot format version " + std::to_string(version) +
+        " (this build reads versions " + std::to_string(kFnvFormatVersion) +
+        " and " + std::to_string(kFormatVersion) + "): " + path);
   }
   if (get_u32(12) != kEndianTag) {
     return util::Status::parse_error(
@@ -296,8 +418,11 @@ util::Result<OpenedSnapshot> open_validated(const std::string& path) {
     return util::Status::parse_error(
         "snapshot payload size disagrees with the file size: " + path);
   }
-  const std::uint64_t computed =
-      fnv1a64(mapping->data() + kHeaderBytes, payload_bytes);
+  // Every payload byte is checked here, before any column is adopted.
+  const std::uint8_t* payload = mapping->data() + kHeaderBytes;
+  const std::uint64_t computed = version == kFnvFormatVersion
+                                     ? fnv1a64(payload, payload_bytes)
+                                     : xxh64(payload, payload_bytes);
   if (computed != stored_checksum) {
     return util::Status::parse_error(
         "snapshot checksum mismatch (corrupt payload): " + path);

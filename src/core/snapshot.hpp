@@ -2,25 +2,34 @@
 //
 // A snapshot is one file holding the full user-arena state of an edge
 // (one section per shard). The layout is designed so that OPENING a
-// snapshot is O(map + directory rebuild), not O(parse): every column is
-// written as a contiguous 8-byte-aligned extent that the arena can adopt
-// in place from the read-only mapping, with only the small mutable row
-// scalars copied out. A 1M-user population therefore loads in fractions
-// of a second instead of re-parsing gigabytes of CSV.
+// snapshot is O(map + checksum + directory rebuild), not O(parse): every
+// column is written as a contiguous 8-byte-aligned extent that the arena
+// can adopt in place from the read-only mapping, with only the small
+// mutable row scalars copied out. The checksum still reads every payload
+// byte once before any column is adopted, so it runs at memory speed:
+// a 1M-user population loads in fractions of a second instead of
+// re-parsing gigabytes of CSV.
 //
 // File layout (all integers little-endian, host == file endianness is
 // enforced by the endian tag):
 //
 //   [64-byte header]
 //     u64 magic      "PLADSNAP"
-//     u32 version    kFormatVersion
+//     u32 version    kFormatVersion (2) as written; 1 is still read
 //     u32 endian     kEndianTag (0x01020304 as written by the host)
 //     u32 shards     section count
 //     u32 reserved   0
 //     u64 payload    payload byte count (file size - header size)
-//     u64 checksum   FNV-1a 64 over the payload bytes
+//     u64 checksum   over the payload bytes: XXH64 (seed 0) in version 2,
+//                    FNV-1a 64 in version 1
 //     (zero padding to 64 bytes)
 //   [payload: `shards` back-to-back arena sections]
+//
+// The two versions differ only in the checksum, and the header's version
+// field alone picks which one open_validated() recomputes. Version 1 stays
+// readable because refusing a snapshot already on disk would force fresh
+// n-fold draws for every user in it -- the very composition leak the
+// format exists to prevent.
 //
 // Each section is a fixed sequence of scalars and columns (see
 // user_arena.cpp); a column is `u64 count` followed by `count` raw
@@ -44,15 +53,38 @@ namespace privlocad::core::snapshot {
 
 /// "PLADSNAP" read as a little-endian u64.
 inline constexpr std::uint64_t kMagic = 0x50414E5344414C50ULL;
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
+/// The previous format: identical layout, FNV-1a 64 checksum.
+inline constexpr std::uint32_t kFnvFormatVersion = 1;
 inline constexpr std::uint32_t kEndianTag = 0x01020304;
 inline constexpr std::size_t kHeaderBytes = 64;
 
-/// FNV-1a 64 over `n` bytes, chained through `state` so the writer can
-/// checksum streaming output without buffering the payload.
+/// FNV-1a 64 over `n` bytes, chained through `state`. The version-1
+/// snapshot checksum; also a cheap chained hash for behaviour digests.
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xCBF29CE484222325ULL;
 std::uint64_t fnv1a64(const void* data, std::size_t n,
                       std::uint64_t state = kFnvOffsetBasis);
+
+/// Streaming XXH64 with seed 0 (the version-2 snapshot checksum). Four
+/// independent 64-bit lanes consume 32-byte stripes, so the hash runs at
+/// memory bandwidth instead of one serial multiply per byte. update()
+/// accepts any chunking; digest() equals xxh64() over the concatenated
+/// bytes.
+class Xxh64 {
+ public:
+  Xxh64();
+  void update(const void* data, std::size_t n);
+  std::uint64_t digest() const;
+
+ private:
+  std::uint64_t lanes_[4];
+  std::uint64_t total_ = 0;
+  std::uint8_t stripe_[32] = {};
+  std::size_t buffered_ = 0;  ///< bytes held in stripe_, always < 32
+};
+
+/// One-shot XXH64 (seed 0) of `n` bytes.
+std::uint64_t xxh64(const void* data, std::size_t n);
 
 /// Streams one snapshot file: header placeholder first, then payload
 /// writes that accumulate the running checksum, then finish() patches the
@@ -114,7 +146,7 @@ class Writer {
   std::vector<std::uint8_t> buffer_;
   std::uint32_t shard_count_ = 0;
   std::uint64_t payload_bytes_ = 0;
-  std::uint64_t checksum_ = kFnvOffsetBasis;
+  Xxh64 checksum_;
   bool finished_ = false;
   util::Status status_;
 };
@@ -145,7 +177,7 @@ class Mapping {
 util::Result<std::shared_ptr<Mapping>> map_file(const std::string& path);
 
 /// A validated, mapped snapshot: header checked (magic, version, endian,
-/// size, checksum) and payload bounds resolved.
+/// size, checksum of every payload byte) and payload bounds resolved.
 struct OpenedSnapshot {
   std::shared_ptr<Mapping> mapping;
   std::uint32_t shard_count = 0;
@@ -155,7 +187,8 @@ struct OpenedSnapshot {
 
 /// Maps and validates `path`. kIoError when the file cannot be mapped;
 /// kParseError for any structural damage (truncation, bad magic/version/
-/// endianness, checksum mismatch).
+/// endianness, checksum mismatch). The checksum matching the header's
+/// version is recomputed over the whole payload before this returns.
 util::Result<OpenedSnapshot> open_validated(const std::string& path);
 
 /// Bounds-checked cursor over a mapped payload. read_column yields a

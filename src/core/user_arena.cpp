@@ -653,6 +653,13 @@ util::Status UserArena::load(snapshot::Reader& reader) {
   }
   for (std::size_t i = 0; i < custom_rows.size(); ++i) {
     if (custom_rows[i] >= rows) return parse("custom-params row out of range");
+    // The device builds a mechanism from each entry after the load, so an
+    // out-of-domain value must fail here, as damage, not throw there.
+    try {
+      custom_values[i].validate();
+    } catch (const util::InvalidArgument&) {
+      return parse("invalid custom privacy params");
+    }
     custom_params_[custom_rows[i]] = custom_values[i];
   }
 

@@ -23,7 +23,7 @@
 // On open, the big frozen columns are adopted in place from the read-only
 // mapping -- columns become "mapped base + owned mutable tail" -- and only
 // the small row scalars are copied, so opening a million-user arena costs
-// a map plus a directory rebuild, not a parse. Compaction folds the
+// a map, one checksum pass, and a directory rebuild, not a parse. Compaction folds the
 // mapped base back into owned memory, after which the mapping is
 // released.
 //
@@ -230,7 +230,9 @@ class UserArena {
 
   /// Loads one snapshot section into this (empty) arena, adopting the
   /// frozen columns from the mapping in place. Returns kParseError on
-  /// structural damage.
+  /// structural damage or out-of-domain custom privacy params; the arena
+  /// may then hold part of the section, and the owner must replace it
+  /// (EdgeDevice::read_snapshot_section does).
   util::Status load(snapshot::Reader& reader);
 
  private:

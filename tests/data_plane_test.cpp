@@ -1,13 +1,18 @@
 // Tests for the columnar data plane: UserArena equivalence with the
 // legacy per-user modules, snapshot round-trips (bit-identical serving
-// across save / mmap-open), corruption handling, and shard-count
-// invariance of the per-user RNG streams.
+// across save / mmap-open), the snapshot checksum and format versions,
+// corruption handling, all-or-nothing opens, and shard-count invariance
+// of the per-user RNG streams.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -411,6 +416,411 @@ TEST(Snapshot, PreconditionsAreTypedFailures) {
             util::ErrorCode::kFailedPrecondition);
   std::remove(path.c_str());
 }
+
+// ------------------------------------------------------ snapshot checksum
+
+/// A deterministic byte pattern with every bit position exercised.
+std::vector<std::uint8_t> pattern(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 2654435761ULL) >> 24);
+  }
+  return bytes;
+}
+
+struct Xxh64Vector {
+  const char* name;
+  std::string input;
+  std::uint64_t expected;
+};
+
+std::string pattern_string(std::size_t n) {
+  const std::vector<std::uint8_t> bytes = pattern(n);
+  return std::string(bytes.begin(), bytes.end());
+}
+
+class Xxh64Vectors : public testing::TestWithParam<Xxh64Vector> {};
+
+TEST_P(Xxh64Vectors, MatchesTheReference) {
+  const Xxh64Vector& v = GetParam();
+  EXPECT_EQ(core::snapshot::xxh64(v.input.data(), v.input.size()),
+            v.expected);
+  core::snapshot::Xxh64 streamed;
+  for (const char c : v.input) streamed.update(&c, 1);
+  EXPECT_EQ(streamed.digest(), v.expected);
+}
+
+// The first two are the published XXH64 test vectors; the rest are the
+// reference implementation's values, covering the short-input tail (< 32
+// bytes), exact stripe multiples, and the stripe path.
+INSTANTIATE_TEST_SUITE_P(
+    Table, Xxh64Vectors,
+    testing::Values(
+        Xxh64Vector{"empty", "", 0xEF46DB3751D8E999ULL},
+        Xxh64Vector{"a", "a", 0xD24EC4F1A98C6E5BULL},
+        Xxh64Vector{"abc", "abc", 0x44BC2CF5AD770999ULL},
+        Xxh64Vector{"alphabet", "abcdefghijklmnopqrstuvwxyz",
+                    0xCFE1F278FA89835CULL},
+        Xxh64Vector{"p3", pattern_string(3), 0xA9CF36B41F9E7D09ULL},
+        Xxh64Vector{"p4", pattern_string(4), 0x435F59A33B7EB3D1ULL},
+        Xxh64Vector{"p8", pattern_string(8), 0x538CAC3B18F9EF8EULL},
+        Xxh64Vector{"p31", pattern_string(31), 0x4071DD1310FA5DA9ULL},
+        Xxh64Vector{"p32", pattern_string(32), 0x13EE8A64346F0691ULL},
+        Xxh64Vector{"p33", pattern_string(33), 0xF75619499E2E2E99ULL},
+        Xxh64Vector{"p64", pattern_string(64), 0xFB24D94DE825912FULL},
+        Xxh64Vector{"p97", pattern_string(97), 0x857D60C623F07E54ULL}),
+    [](const testing::TestParamInfo<Xxh64Vector>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(Xxh64, StreamedEqualsOneShotAtEverySplitPoint) {
+  const std::vector<std::uint8_t> bytes = pattern(97);
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    const std::uint64_t one_shot = core::snapshot::xxh64(bytes.data(), len);
+    for (std::size_t split = 0; split <= len; ++split) {
+      core::snapshot::Xxh64 streamed;
+      streamed.update(bytes.data(), split);
+      streamed.update(bytes.data() + split, len - split);
+      ASSERT_EQ(streamed.digest(), one_shot)
+          << "length " << len << " split at " << split;
+    }
+  }
+}
+
+class Xxh64Chunkings : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(Xxh64Chunkings, RandomChunkingOfOneMiBEqualsOneShot) {
+  static const std::vector<std::uint8_t> bytes = pattern(std::size_t{1} << 20);
+  ASSERT_EQ(core::snapshot::xxh64(bytes.data(), bytes.size()),
+            0xFC4AA44E4C19D879ULL);
+  // Chunk sizes mix the writer's small pieces (u64 scalars, padding,
+  // short columns) with long column extents.
+  rng::Engine engine(GetParam());
+  core::snapshot::Xxh64 streamed;
+  std::size_t offset = 0;
+  while (offset < bytes.size()) {
+    const std::size_t cap = engine.uniform_index(4) == 0 ? 70000 : 70;
+    const std::size_t chunk = std::min<std::size_t>(
+        engine.uniform_index(cap + 1), bytes.size() - offset);
+    streamed.update(bytes.data() + offset, chunk);
+    offset += chunk;
+  }
+  EXPECT_EQ(streamed.digest(), 0xFC4AA44E4C19D879ULL);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, Xxh64Chunkings,
+                         testing::Values(1u, 2u, 3u, 17u, 2022u));
+
+// ----------------------------------------------------- format versions
+
+// Header field offsets (core/snapshot.hpp layout).
+constexpr std::size_t kVersionOffset = 8;
+constexpr std::size_t kChecksumOffset = 32;
+/// The u64 every arena section starts with ("USERARNA", user_arena.cpp).
+constexpr std::uint64_t kSectionTag = 0x414E524152455355ULL;
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::vector<std::uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+    bytes.push_back(static_cast<std::uint8_t>(c));
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+void write_file(const std::string& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+template <typename T>
+void put(std::vector<std::uint8_t>& bytes, std::size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+}
+
+/// Stamps `version` into the header and the checksum that version uses,
+/// recomputed over the (possibly edited) payload.
+void reseal(std::vector<std::uint8_t>& bytes, std::uint32_t version) {
+  const std::uint8_t* payload = bytes.data() + core::snapshot::kHeaderBytes;
+  const std::size_t n = bytes.size() - core::snapshot::kHeaderBytes;
+  put(bytes, kVersionOffset, version);
+  put(bytes, kChecksumOffset,
+      version == core::snapshot::kFnvFormatVersion
+          ? core::snapshot::fnv1a64(payload, n)
+          : core::snapshot::xxh64(payload, n));
+}
+
+/// Payload offsets of every arena section's tag, in file order.
+std::vector<std::size_t> section_offsets(
+    const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t off = core::snapshot::kHeaderBytes;
+       off + 8 <= bytes.size(); off += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + off, 8);
+    if (word == kSectionTag) offsets.push_back(off);
+  }
+  return offsets;
+}
+
+constexpr std::size_t kCompatShards = 4;
+constexpr int kCompatUsers = 24;
+
+/// A 4-shard box with warmed tables, saved as a version-2 snapshot.
+std::vector<std::uint8_t> saved_box(const std::string& path) {
+  core::ConcurrentEdge saved(
+      fast_config().with_seed(12).with_shards(kCompatShards));
+  for (int u = 1; u <= kCompatUsers; ++u) {
+    saved.import_history(u, history_for(u));
+    (void)saved.serve(u, probe_stream(u, 1)[0].position,
+                      trace::kStudyStart + 1500);
+  }
+  EXPECT_TRUE(saved.save_snapshot(path).ok());
+  return read_file(path);
+}
+
+core::ConcurrentEdge fresh_box() {
+  return core::ConcurrentEdge(
+      fast_config().with_seed(12).with_shards(kCompatShards));
+}
+
+TEST(SnapshotFormat, WriterStampsVersionTwoWithXxh64) {
+  const std::string path = temp_path("format_v2.snap");
+  const std::vector<std::uint8_t> bytes = saved_box(path);
+  ASSERT_GT(bytes.size(), core::snapshot::kHeaderBytes);
+  std::uint32_t version = 0;
+  std::uint64_t checksum = 0;
+  std::memcpy(&version, bytes.data() + kVersionOffset, 4);
+  std::memcpy(&checksum, bytes.data() + kChecksumOffset, 8);
+  EXPECT_EQ(version, core::snapshot::kFormatVersion);
+  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(checksum,
+            core::snapshot::xxh64(bytes.data() + core::snapshot::kHeaderBytes,
+                                  bytes.size() - core::snapshot::kHeaderBytes));
+  EXPECT_EQ(section_offsets(bytes).size(), kCompatShards);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotFormat, VersionOneFileServesBitIdenticallyToVersionTwo) {
+  const std::string v2_path = temp_path("compat_v2.snap");
+  const std::string v1_path = temp_path("compat_v1.snap");
+  std::vector<std::uint8_t> bytes = saved_box(v2_path);
+  reseal(bytes, core::snapshot::kFnvFormatVersion);
+  write_file(v1_path, bytes);
+
+  core::ConcurrentEdge from_v2 = fresh_box();
+  core::ConcurrentEdge from_v1 = fresh_box();
+  ASSERT_TRUE(from_v2.open_snapshot(v2_path).ok());
+  const util::Status v1_status = from_v1.open_snapshot(v1_path);
+  ASSERT_TRUE(v1_status.ok()) << v1_status.message();
+  EXPECT_EQ(from_v1.user_count(), from_v2.user_count());
+  EXPECT_EQ(from_v1.user_count(), static_cast<std::size_t>(kCompatUsers));
+  for (int u = 1; u <= kCompatUsers; ++u) {
+    for (const trace::CheckIn& c : probe_stream(u, 20)) {
+      const core::ServeResult a = from_v2.serve(u, c.position, c.time);
+      const core::ServeResult b = from_v1.serve(u, c.position, c.time);
+      ASSERT_EQ(bits_of(a), bits_of(b)) << "user " << u;
+    }
+  }
+  std::remove(v2_path.c_str());
+  std::remove(v1_path.c_str());
+}
+
+TEST(SnapshotFormat, UnknownVersionIsAParseErrorNamingIt) {
+  const std::string path = temp_path("compat_v3.snap");
+  std::vector<std::uint8_t> bytes = saved_box(path);
+  reseal(bytes, 3);
+  write_file(path, bytes);
+  core::ConcurrentEdge box = fresh_box();
+  const util::Status status = box.open_snapshot(path);
+  EXPECT_EQ(status.code(), util::ErrorCode::kParseError);
+  EXPECT_NE(status.message().find("version 3"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(box.user_count(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotFormat, VersionTwoHeaderCarryingTheFnvValueFailsTheChecksum) {
+  const std::string path = temp_path("compat_v2_fnv.snap");
+  std::vector<std::uint8_t> bytes = saved_box(path);
+  reseal(bytes, core::snapshot::kFnvFormatVersion);
+  put(bytes, kVersionOffset, core::snapshot::kFormatVersion);
+  write_file(path, bytes);
+  core::ConcurrentEdge box = fresh_box();
+  const util::Status status = box.open_snapshot(path);
+  EXPECT_EQ(status.code(), util::ErrorCode::kParseError);
+  EXPECT_NE(status.message().find("checksum"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(box.user_count(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotFormat, EverySingleByteFlipFailsTheChecksum) {
+  const std::string path = temp_path("flip.snap");
+  const std::vector<std::uint8_t> good = saved_box(path);
+  const std::size_t first = core::snapshot::kHeaderBytes;
+  const std::size_t last = good.size() - 1;
+  std::vector<std::size_t> targets = {first, first + (last - first) / 2,
+                                      last};
+  // One byte inside every shard section, past its tag.
+  const std::vector<std::size_t> sections = section_offsets(good);
+  ASSERT_EQ(sections.size(), kCompatShards);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const std::size_t end =
+        i + 1 < sections.size() ? sections[i + 1] : good.size();
+    targets.push_back(sections[i] + 8 + (end - sections[i] - 8) / 2);
+  }
+  for (const std::size_t offset : targets) {
+    std::vector<std::uint8_t> bytes = good;
+    bytes[offset] ^= 0x01;
+    write_file(path, bytes);
+    core::ConcurrentEdge box = fresh_box();
+    const util::Status status = box.open_snapshot(path);
+    EXPECT_EQ(status.code(), util::ErrorCode::kParseError)
+        << "flip at " << offset;
+    EXPECT_NE(status.message().find("checksum"), std::string::npos)
+        << "flip at " << offset << ": " << status.message();
+    EXPECT_EQ(box.user_count(), 0u) << "flip at " << offset;
+  }
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------- all-or-nothing opens
+
+// Regression: a bad section (here its tag, with the checksum recomputed so
+// the damage passes the header check) used to return kParseError with the
+// earlier shards still loaded, so the failed shard's users would later be
+// served fresh n-fold draws.
+TEST(SnapshotFormat, FailedOpenLeavesEveryShardEmpty) {
+  const std::string good_path = temp_path("all_or_nothing_good.snap");
+  const std::string bad_path = temp_path("all_or_nothing_bad.snap");
+  std::vector<std::uint8_t> bytes = saved_box(good_path);
+  const std::vector<std::size_t> sections = section_offsets(bytes);
+  ASSERT_EQ(sections.size(), kCompatShards);
+  put(bytes, sections.back(), ~kSectionTag);
+  reseal(bytes, core::snapshot::kFormatVersion);
+  write_file(bad_path, bytes);
+
+  core::ConcurrentEdge box = fresh_box();
+  const util::Status status = box.open_snapshot(bad_path);
+  EXPECT_EQ(status.code(), util::ErrorCode::kParseError);
+  EXPECT_EQ(box.user_count(), 0u);
+
+  const util::Status reopened = box.open_snapshot(good_path);
+  ASSERT_TRUE(reopened.ok()) << reopened.message();
+  EXPECT_EQ(box.user_count(), static_cast<std::size_t>(kCompatUsers));
+  std::remove(good_path.c_str());
+  std::remove(bad_path.c_str());
+}
+
+// Regression: UserArena::load copied the row scalars into the arena before
+// validating them, so a section failing a later check left its users
+// behind and the device refused every later open.
+TEST(SnapshotFormat, FailedSectionLeavesTheDeviceEmpty) {
+  const std::string good_path = temp_path("device_section_good.snap");
+  const std::string bad_path = temp_path("device_section_bad.snap");
+  core::EdgeDevice saved(fast_config().with_seed(8));
+  for (int u = 1; u <= 10; ++u) saved.import_history(u, history_for(u));
+  ASSERT_TRUE(saved.save_snapshot(good_path).ok());
+  std::vector<std::uint8_t> bytes = read_file(good_path);
+
+  // Section layout: tag, then the user-id column (u64 count + ids), then
+  // the engine column's count. An empty engine column disagrees with the
+  // row count only after the user ids were read.
+  const std::size_t ids_count_at = core::snapshot::kHeaderBytes + 8;
+  std::uint64_t users = 0;
+  std::memcpy(&users, bytes.data() + ids_count_at, 8);
+  ASSERT_EQ(users, 10u);
+  put(bytes, ids_count_at + 8 + users * 8, std::uint64_t{0});
+  reseal(bytes, core::snapshot::kFormatVersion);
+  write_file(bad_path, bytes);
+
+  core::EdgeDevice device(fast_config().with_seed(8));
+  EXPECT_EQ(device.open_snapshot(bad_path).code(),
+            util::ErrorCode::kParseError);
+  EXPECT_EQ(device.user_count(), 0u);
+  const util::Status reopened = device.open_snapshot(good_path);
+  ASSERT_TRUE(reopened.ok()) << reopened.message();
+  EXPECT_EQ(device.user_count(), 10u);
+  std::remove(good_path.c_str());
+  std::remove(bad_path.c_str());
+}
+
+struct BadCustomParam {
+  const char* name;
+  std::size_t field;  ///< byte offset inside lppm::BoundedGeoIndParams
+  double value;       ///< written as the field's bytes (n: as a u64)
+};
+
+class SnapshotBadCustomParams
+    : public testing::TestWithParam<BadCustomParam> {};
+
+// Regression: custom privacy params were range-checked only by row, so an
+// out-of-domain value in a checksum-valid file threw out of the device's
+// mechanism rebuild after the section had been adopted, leaving it loaded.
+TEST_P(SnapshotBadCustomParams, FailTheOpenAndLeaveTheBoxEmpty) {
+  const BadCustomParam& bad = GetParam();
+  const std::string good_path = temp_path("custom_params_good.snap");
+  const std::string bad_path = temp_path("custom_params_bad.snap");
+  core::EdgeDevice saved(fast_config().with_seed(8));
+  for (int u = 1; u <= 10; ++u) saved.import_history(u, history_for(u));
+  lppm::BoundedGeoIndParams custom;
+  custom.epsilon = 2.0;
+  saved.set_user_privacy(3, custom);
+  ASSERT_TRUE(saved.save_snapshot(good_path).ok());
+  std::vector<std::uint8_t> bytes = read_file(good_path);
+
+  // The custom-params values are the section's last column; one user's
+  // 32-byte entry ends the file with no padding.
+  static_assert(sizeof(lppm::BoundedGeoIndParams) == 32);
+  const std::size_t entry_at = bytes.size() - 32;
+  lppm::BoundedGeoIndParams stored;
+  std::memcpy(&stored, bytes.data() + entry_at, sizeof(stored));
+  ASSERT_EQ(stored.epsilon, 2.0);
+  if (bad.field == offsetof(lppm::BoundedGeoIndParams, n)) {
+    put(bytes, entry_at + bad.field, static_cast<std::uint64_t>(bad.value));
+  } else {
+    put(bytes, entry_at + bad.field, bad.value);
+  }
+  reseal(bytes, core::snapshot::kFormatVersion);
+  write_file(bad_path, bytes);
+
+  core::EdgeDevice device(fast_config().with_seed(8));
+  const util::Status status = device.open_snapshot(bad_path);
+  EXPECT_EQ(status.code(), util::ErrorCode::kParseError);
+  EXPECT_NE(status.message().find("custom privacy params"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(device.user_count(), 0u);
+  const util::Status reopened = device.open_snapshot(good_path);
+  ASSERT_TRUE(reopened.ok()) << reopened.message();
+  EXPECT_EQ(device.user_count(), 10u);
+  EXPECT_EQ(device.user_privacy(3).epsilon, 2.0);
+  std::remove(good_path.c_str());
+  std::remove(bad_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, SnapshotBadCustomParams,
+    testing::Values(
+        BadCustomParam{"zero_radius",
+                       offsetof(lppm::BoundedGeoIndParams, radius_m), 0.0},
+        BadCustomParam{"negative_epsilon",
+                       offsetof(lppm::BoundedGeoIndParams, epsilon), -1.0},
+        BadCustomParam{"nan_epsilon",
+                       offsetof(lppm::BoundedGeoIndParams, epsilon),
+                       std::numeric_limits<double>::quiet_NaN()},
+        BadCustomParam{"delta_one",
+                       offsetof(lppm::BoundedGeoIndParams, delta), 1.0},
+        BadCustomParam{"zero_n", offsetof(lppm::BoundedGeoIndParams, n),
+                       0.0}),
+    [](const testing::TestParamInfo<BadCustomParam>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace privlocad
