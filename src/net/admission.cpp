@@ -1,5 +1,6 @@
 #include "net/admission.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -43,31 +44,60 @@ BoundedRequestQueue::BoundedRequestQueue(std::size_t capacity,
                 "latency_budget admission needs a budget >= 1us");
 }
 
-bool BoundedRequestQueue::try_push(PendingRequest request) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    if (policy_ == AdmissionPolicy::kLatencyBudget) {
-      const double projected =
-          static_cast<double>(items_.size()) *
-          ewma_item_delay_us_.load(std::memory_order_relaxed);
-      if (projected > static_cast<double>(latency_budget_us_)) {
-        return false;
-      }
-    }
-    request.depth_at_admit = items_.size();
-    items_.push_back(std::move(request));
+bool BoundedRequestQueue::admit_locked(const PendingRequest& request) {
+  const std::size_t depth = depth_locked();
+  if (closed_ || depth >= capacity_) return false;
+  if (policy_ == AdmissionPolicy::kLatencyBudget) {
+    const double projected =
+        static_cast<double>(depth) *
+        ewma_item_delay_us_.load(std::memory_order_relaxed);
+    if (projected > static_cast<double>(latency_budget_us_)) return false;
   }
-  ready_.notify_one();
+  items_.push_back(request);
+  items_.back().depth_at_admit = depth;
   return true;
 }
 
+bool BoundedRequestQueue::try_push(PendingRequest request) {
+  std::uint8_t admitted = 0;
+  try_push_batch({&request, 1}, {&admitted, 1});
+  return admitted != 0;
+}
+
+std::size_t BoundedRequestQueue::try_push_batch(
+    std::span<const PendingRequest> requests,
+    std::span<std::uint8_t> admitted) {
+  util::require(admitted.size() >= requests.size(),
+                "try_push_batch needs one decision slot per request");
+  std::size_t queued = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      admitted[i] = admit_locked(requests[i]) ? 1 : 0;
+      queued += admitted[i];
+    }
+  }
+  if (queued > 0) ready_.notify_one();
+  return queued;
+}
+
 bool BoundedRequestQueue::pop(PendingRequest& out) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-  if (items_.empty()) return false;  // closed and drained
-  out = std::move(items_.front());
-  items_.pop_front();
+  if (batch_head_ == batch_.size()) {
+    batch_.clear();
+    batch_head_ = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
+    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return false;  // closed and drained
+    const std::size_t take = std::min(items_.size(), kTakeBatch);
+    const auto last = items_.begin() + static_cast<std::ptrdiff_t>(take);
+    batch_.assign(items_.begin(), last);
+    items_.erase(items_.begin(), last);
+    // Under the same lock as the erase, so a pusher always counts each
+    // taken request once: the depth drops only as pop hands them out.
+    taken_.store(take);
+  }
+  out = batch_[batch_head_++];
+  taken_.fetch_sub(1);
   return true;
 }
 
@@ -96,13 +126,13 @@ void BoundedRequestQueue::observe_queue_delay_us(
 
 double BoundedRequestQueue::projected_delay_us() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<double>(items_.size()) *
+  return static_cast<double>(depth_locked()) *
          ewma_item_delay_us_.load(std::memory_order_relaxed);
 }
 
 std::size_t BoundedRequestQueue::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return items_.size();
+  return depth_locked();
 }
 
 }  // namespace privlocad::net

@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <span>
+#include <vector>
 
 #include "net/wire.hpp"
 #include "util/status.hpp"
@@ -58,11 +60,22 @@ struct PendingRequest {
   std::size_t depth_at_admit = 0;
 };
 
-/// MPSC-ish bounded queue (one IO thread pushes, one worker pops; the
-/// bound is what matters, not the concurrency shape). try_push never
-/// blocks -- a false return is the shed decision, made at push time.
+/// Bounded queue between the IO thread (the one pusher) and one worker
+/// (the one popper). try_push never blocks -- a false return is the shed
+/// decision, made at push time.
+///
+/// The worker side is batched: when its local batch runs dry, pop takes
+/// up to kTakeBatch queued requests under ONE lock and hands them out one
+/// per call without touching the mutex the pusher needs. A request taken
+/// but not yet returned by pop still counts toward the depth -- the
+/// capacity check, the latency-budget projection, depth_at_admit and
+/// size() -- and leaves it exactly when pop returns it (the moment the
+/// worker starts serving it), so batching changes no shed decision.
 class BoundedRequestQueue {
  public:
+  /// Most requests one pop takes from the shared deque under one lock.
+  static constexpr std::size_t kTakeBatch = 64;
+
   explicit BoundedRequestQueue(
       std::size_t capacity,
       AdmissionPolicy policy = AdmissionPolicy::kQueueCapacity,
@@ -72,7 +85,16 @@ class BoundedRequestQueue {
   /// arrival past its latency budget, or the queue is closed.
   bool try_push(PendingRequest request);
 
-  /// Blocks until an item or close; false means closed AND drained.
+  /// try_push over `requests` in order under one lock and one wake-up:
+  /// each request gets its own decision, written to admitted[i] (1 =
+  /// queued, 0 = shed). `admitted` must be as long as `requests`.
+  /// Returns how many were queued.
+  std::size_t try_push_batch(std::span<const PendingRequest> requests,
+                             std::span<std::uint8_t> admitted);
+
+  /// Blocks until an item or close; false means closed AND drained
+  /// (including a batch already taken). Single consumer: call from one
+  /// thread only.
   bool pop(PendingRequest& out);
 
   /// Wakes poppers; pop drains the backlog then returns false.
@@ -94,12 +116,20 @@ class BoundedRequestQueue {
     return ewma_item_delay_us_.load(std::memory_order_relaxed);
   }
 
+  /// Requests admitted and not yet returned by pop (queued + taken).
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   AdmissionPolicy policy() const { return policy_; }
   std::uint32_t latency_budget_us() const { return latency_budget_us_; }
 
  private:
+  /// Queued + taken-but-unstarted. Caller holds mutex_.
+  std::size_t depth_locked() const {
+    return items_.size() + taken_.load();
+  }
+  /// One admission decision; caller holds mutex_.
+  bool admit_locked(const PendingRequest& request);
+
   const std::size_t capacity_;
   const AdmissionPolicy policy_;
   const std::uint32_t latency_budget_us_;
@@ -107,6 +137,12 @@ class BoundedRequestQueue {
   std::condition_variable ready_;
   std::deque<PendingRequest> items_;
   bool closed_ = false;
+  /// How many of batch_ pop has not returned yet. Raised under mutex_
+  /// when a batch is taken; lowered by the popper alone, lock-free.
+  std::atomic<std::size_t> taken_{0};
+  /// The popper's current batch; touched only by the popper.
+  std::vector<PendingRequest> batch_;
+  std::size_t batch_head_ = 0;
   /// EWMA over delay/max(1,depth) samples, alpha = 1/8. Atomic so the
   /// worker writes and the IO thread reads without taking the queue
   /// mutex on the serve path.

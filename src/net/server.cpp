@@ -105,6 +105,8 @@ util::Result<std::unique_ptr<EdgeServer>> EdgeServer::create(
       &registry.counter(net_metrics::kConnectionsClosed);
   server->requests_ = &registry.counter(net_metrics::kRequests);
   server->responses_ = &registry.counter(net_metrics::kResponses);
+  server->completion_wakeups_ =
+      &registry.counter(net_metrics::kCompletionWakeups);
   server->shed_ = &registry.counter(net_metrics::kShed);
   server->parse_errors_ = &registry.counter(net_metrics::kParseErrors);
   server->backpressure_pauses_ =
@@ -116,6 +118,8 @@ util::Result<std::unique_ptr<EdgeServer>> EdgeServer::create(
   server->service_time_us_ =
       &registry.histogram(net_metrics::kServiceTimeUs);
   server->queue_depth_ = &registry.gauge(net_metrics::kQueueDepth);
+  server->admit_batches_.resize(server_config.workers);
+  server->admit_decisions_.resize(server_config.workers);
   registry.gauge(net_metrics::kBackend)
       .set(static_cast<double>(resolved.value()));
 
@@ -154,6 +158,12 @@ util::Status EdgeServer::start() {
     return util::Status::failed_precondition(
         "EdgeServer::start called twice");
   }
+  if (stopped_) {
+    // stop() closed the listen socket and the eventfd and tore the
+    // backend down; none of it can be brought back.
+    return util::Status::failed_precondition(
+        "EdgeServer::start after stop: a server serves once");
+  }
   stopping_.store(false, std::memory_order_relaxed);
   queues_.clear();
   for (std::size_t i = 0; i < config_.workers; ++i) {
@@ -186,6 +196,7 @@ void EdgeServer::stop() {
   listen_fd_.reset();
   wake_fd_.reset();
   started_ = false;
+  stopped_ = true;
 }
 
 void EdgeServer::worker_loop(std::size_t worker_index) {
@@ -223,9 +234,21 @@ void EdgeServer::worker_loop(std::size_t worker_index) {
       const std::lock_guard<std::mutex> lock(completed_mutex_);
       completed_.push_back({pending.conn_id, frame});
     }
-    std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(wake_fd_.get(), &one, sizeof(one));
+    // Only the first completion since the IO thread's last drain writes
+    // the eventfd; later ones ride the wake-up already pending. The IO
+    // thread clears the flag BEFORE it swaps completed_, so a push that
+    // finds the flag set is always picked up by a drain still to come.
+    if (!wake_pending_.exchange(true)) {
+      std::uint64_t one = 1;
+      if (::write(wake_fd_.get(), &one, sizeof(one)) ==
+          static_cast<ssize_t>(sizeof(one))) {
+        completion_wakeups_->add();
+      } else {
+        // No wake-up went out; let the next completion try again. The
+        // poll tick drains this one meanwhile.
+        wake_pending_.store(false);
+      }
+    }
   }
 }
 
@@ -282,7 +305,8 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
   ConnState& conn = it->second;
   conn.in.insert(conn.in.end(), data, data + n);
 
-  // Frame and admit everything buffered.
+  // Frame everything buffered, staging each request on its worker.
+  bool poisoned = false;
   while (true) {
     Frame frame;
     std::size_t consumed = 0;
@@ -291,25 +315,25 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
                    conn.in.size() - conn.in_head, frame, consumed);
     if (!parsed.ok() ||
         (consumed > 0 && frame.type != FrameType::kServeRequest)) {
-      parse_errors_->add();
-      close_and_forget(conn_id);  // poisoned stream: no resync point
-      return;
+      poisoned = true;
+      break;
     }
     if (consumed == 0) break;  // partial frame; wait for more bytes
     conn.in_head += consumed;
-    requests_->add();
     const std::size_t worker = worker_for(frame.request.user_id);
     PendingRequest pending;
     pending.conn_id = conn_id;
     pending.request = frame.request;
-    pending.admitted = std::chrono::steady_clock::now();
-    if (!queues_[worker]->try_push(std::move(pending))) {
-      // Admission shed: immediate degraded_dropped, counted in both the
-      // net layer and the box-level serve taxonomy.
-      shed_->add();
-      degraded_dropped_->add();
-      queue_response(conn_id, shed_response(frame.request));
-    }
+    admit_batches_[worker].push_back(pending);
+    arrival_workers_.push_back(static_cast<std::uint32_t>(worker));
+  }
+  // The frames before a poisoned one are admitted (or shed) like any
+  // others, then the connection goes.
+  admit_staged(conn_id);
+  if (poisoned) {
+    parse_errors_->add();
+    close_and_forget(conn_id);  // poisoned stream: no resync point
+    return;
   }
   conn.compact_in();
 
@@ -319,7 +343,41 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
   reevaluate_backpressure(conn_id);
 }
 
+void EdgeServer::admit_staged(std::uint64_t conn_id) {
+  if (arrival_workers_.empty()) return;
+  requests_->add(arrival_workers_.size());
+  const auto now = std::chrono::steady_clock::now();
+  for (std::size_t w = 0; w < admit_batches_.size(); ++w) {
+    std::vector<PendingRequest>& batch = admit_batches_[w];
+    if (batch.empty()) continue;
+    for (PendingRequest& pending : batch) pending.admitted = now;
+    admit_decisions_[w].resize(batch.size());
+    queues_[w]->try_push_batch(batch, admit_decisions_[w]);
+  }
+  // Shed responses go out in arrival order: walk the arrivals again,
+  // reading each worker's decisions in turn. A shed is an immediate
+  // degraded_dropped, counted in both the net layer and the box-level
+  // serve taxonomy.
+  admit_cursors_.assign(admit_batches_.size(), 0);
+  std::uint64_t shed = 0;
+  for (const std::uint32_t w : arrival_workers_) {
+    const std::size_t i = admit_cursors_[w]++;
+    if (admit_decisions_[w][i] != 0) continue;
+    ++shed;
+    queue_response(conn_id, shed_response(admit_batches_[w][i].request));
+  }
+  if (shed > 0) {
+    shed_->add(shed);
+    degraded_dropped_->add(shed);
+  }
+  for (std::vector<PendingRequest>& batch : admit_batches_) batch.clear();
+  arrival_workers_.clear();
+}
+
 void EdgeServer::drain_completed() {
+  // Clear before the swap: a worker that pushes after this point and
+  // sees the flag clear writes a fresh wake-up for the next poll.
+  wake_pending_.store(false);
   {
     const std::lock_guard<std::mutex> lock(completed_mutex_);
     drain_scratch_.swap(completed_);

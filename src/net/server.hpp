@@ -16,9 +16,22 @@
 //     ConcurrentEdge::serve (itself shard-locked). Users hash to workers
 //     with the SAME fibonacci multiply ConcurrentEdge uses for shards,
 //     so one user's requests stay ordered end to end.
-//   - Workers hand finished responses back through a mutex-swapped
-//     vector + eventfd wakeup; the IO thread serializes them onto the
-//     owning connection (or drops them if it has gone away).
+//   - The IO thread admits per on_data chunk: every frame decoded from
+//     the chunk is staged on its worker, and each worker's share goes
+//     through ONE try_push_batch (one queue lock, one notify), each
+//     request still getting its own shed decision in arrival order.
+//   - A worker takes up to BoundedRequestQueue::kTakeBatch requests
+//     under one lock and serves them one by one; a taken request counts
+//     toward the queue depth until its serve starts, so admission sees
+//     the same depth it would with one pop per lock.
+//   - Workers publish each finished response at once into a
+//     mutex-guarded vector that the IO thread swaps out after every
+//     poll() and serializes onto the owning connection (or drops if it
+//     has gone away). The eventfd that wakes the IO thread is written
+//     only by the first completion since the last drain (an atomic
+//     wake-pending flag the IO thread clears before it swaps), so a busy
+//     box pays about one write(2) per drain, not one per response;
+//     net.completion_wakeups counts the writes.
 //
 // Overload behavior:
 //   - A request is shed AT ADMISSION -- immediate degraded_dropped
@@ -62,6 +75,9 @@ inline constexpr const char* kConnectionsOpened = "net.connections.opened";
 inline constexpr const char* kConnectionsClosed = "net.connections.closed";
 inline constexpr const char* kRequests = "net.requests";
 inline constexpr const char* kResponses = "net.responses";
+/// Eventfd writes workers made to wake the IO thread for completions:
+/// about one per IO-thread drain, never more than kResponses.
+inline constexpr const char* kCompletionWakeups = "net.completion_wakeups";
 inline constexpr const char* kShed = "net.shed";
 inline constexpr const char* kParseErrors = "net.parse_errors";
 inline constexpr const char* kBackpressurePauses = "net.backpressure_pauses";
@@ -153,7 +169,8 @@ struct ServerConfig {
 /// typed Status for every failure (bad port, bind failure, unsatisfiable
 /// backend request) instead of throwing. start() spawns the threads;
 /// stop() (or the destructor) drains and joins them. Between the two,
-/// clients connect to 127.0.0.1:port() and speak the wire format.
+/// clients connect to 127.0.0.1:port() and speak the wire format. The
+/// lifecycle is one-shot: a stopped server cannot be started again.
 class EdgeServer final : private IoSink {
  public:
   static util::Result<std::unique_ptr<EdgeServer>> create(
@@ -164,7 +181,8 @@ class EdgeServer final : private IoSink {
   EdgeServer& operator=(const EdgeServer&) = delete;
 
   /// Spawns the worker + IO threads. kFailedPrecondition if already
-  /// started.
+  /// started, or if stop() has run (it closed the listen socket, the
+  /// eventfd and the backend).
   util::Status start();
 
   /// Idempotent. Closes the admission queues (workers drain their
@@ -221,6 +239,10 @@ class EdgeServer final : private IoSink {
   void close_and_forget(std::uint64_t conn_id);
   /// Pause/resume decision against the byte budget after a flush.
   void reevaluate_backpressure(std::uint64_t conn_id);
+  /// Admits the requests on_data staged from one chunk: one
+  /// try_push_batch per worker, then the shed responses in arrival order.
+  /// Always leaves the staging empty.
+  void admit_staged(std::uint64_t conn_id);
   void drain_completed();
 
   ServerConfig config_;
@@ -236,21 +258,32 @@ class EdgeServer final : private IoSink {
   std::vector<std::uint8_t> encode_scratch_;
   std::vector<CompletedResponse> drain_scratch_;
   std::vector<std::uint64_t> flush_scratch_;
+  /// on_data staging (IO thread only): one chunk's requests per worker,
+  /// the worker of each in arrival order, and each worker's decisions.
+  std::vector<std::vector<PendingRequest>> admit_batches_;
+  std::vector<std::uint32_t> arrival_workers_;
+  std::vector<std::vector<std::uint8_t>> admit_decisions_;
+  std::vector<std::size_t> admit_cursors_;
 
   std::vector<std::unique_ptr<BoundedRequestQueue>> queues_;
   std::vector<std::thread> workers_;
   std::thread io_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
+  bool stopped_ = false;
 
   std::mutex completed_mutex_;
   std::vector<CompletedResponse> completed_;
+  /// Set by the worker whose completion owes the IO thread a wake-up;
+  /// cleared by the IO thread before each drain.
+  std::atomic<bool> wake_pending_{false};
 
   // Hot-path metric handles, resolved once in create().
   obs::Counter* connections_opened_ = nullptr;
   obs::Counter* connections_closed_ = nullptr;
   obs::Counter* requests_ = nullptr;
   obs::Counter* responses_ = nullptr;
+  obs::Counter* completion_wakeups_ = nullptr;
   obs::Counter* shed_ = nullptr;
   obs::Counter* parse_errors_ = nullptr;
   obs::Counter* backpressure_pauses_ = nullptr;

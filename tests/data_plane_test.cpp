@@ -434,6 +434,12 @@ struct Xxh64Vector {
   std::uint64_t expected;
 };
 
+// Without a printer gtest lists the parameter as its raw bytes, which hold
+// pointers: the discovered test names would change with every link.
+void PrintTo(const Xxh64Vector& v, std::ostream* os) {
+  *os << v.input.size() << "-byte input";
+}
+
 std::string pattern_string(std::size_t n) {
   const std::vector<std::uint8_t> bytes = pattern(n);
   return std::string(bytes.begin(), bytes.end());
@@ -765,8 +771,11 @@ class SnapshotBadCustomParams
 // mechanism rebuild after the section had been adopted, leaving it loaded.
 TEST_P(SnapshotBadCustomParams, FailTheOpenAndLeaveTheBoxEmpty) {
   const BadCustomParam& bad = GetParam();
-  const std::string good_path = temp_path("custom_params_good.snap");
-  const std::string bad_path = temp_path("custom_params_bad.snap");
+  // One file pair per case: ctest -j runs the cases as parallel processes.
+  const std::string good_path =
+      temp_path(std::string("custom_params_good_") + bad.name + ".snap");
+  const std::string bad_path =
+      temp_path(std::string("custom_params_bad_") + bad.name + ".snap");
   core::EdgeDevice saved(fast_config().with_seed(8));
   for (int u = 1; u <= 10; ++u) saved.import_history(u, history_for(u));
   lppm::BoundedGeoIndParams custom;

@@ -5,12 +5,16 @@
 // under injected faults and under overload.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "net/client.hpp"
 #include "net/load_model.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "trace/check_in.hpp"
 
@@ -58,6 +63,33 @@ net::ServeRequestFrame request_frame(std::uint64_t id, std::uint64_t user,
   request.y = y;
   request.time = trace::kStudyStart + static_cast<std::int64_t>(id);
   return request;
+}
+
+/// Reads response frames from a raw socket until `n` have arrived (or the
+/// stream ends or breaks) and returns their request ids in wire order.
+std::vector<std::uint64_t> read_response_ids(int fd, std::size_t n) {
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint8_t> in;
+  std::size_t head = 0;
+  while (ids.size() < n) {
+    net::Frame frame;
+    std::size_t consumed = 0;
+    if (!net::try_decode(in.data() + head, in.size() - head, frame,
+                         consumed)
+             .ok()) {
+      break;
+    }
+    if (consumed > 0) {
+      head += consumed;
+      ids.push_back(frame.response.request_id);
+      continue;
+    }
+    std::uint8_t chunk[512];
+    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (got <= 0) break;
+    in.insert(in.end(), chunk, chunk + got);
+  }
+  return ids;
 }
 
 // ------------------------------------------------------------------ wire
@@ -235,6 +267,116 @@ TEST(Admission, LatencyBudgetWithNoObservationsAdmitsFreely) {
   EXPECT_TRUE(queue.try_push(pending));
   EXPECT_TRUE(queue.try_push(pending));
   EXPECT_DOUBLE_EQ(queue.ewma_item_delay_us(), 0.0);
+}
+
+// ------------------------------------------------ batched take (admission)
+
+/// One scripted step against a BoundedRequestQueue. `arg` is the
+/// expected result for kPush/kPop (1 = true), the expected size() for
+/// kExpectSize, and the per-item delay for kFeedDelay; `depth` is the
+/// depth_at_admit a kPop must return (kAnyDepth = unchecked).
+struct QueueStep {
+  enum class Op { kPush, kPop, kClose, kExpectSize, kFeedDelay };
+  static constexpr std::size_t kAnyDepth = ~std::size_t{0};
+  Op op;
+  std::size_t arg = 0;
+  std::size_t depth = kAnyDepth;
+};
+
+struct BatchedTakeCase {
+  const char* name;
+  std::size_t capacity;
+  net::AdmissionPolicy policy;
+  std::uint32_t latency_budget_us;
+  std::vector<QueueStep> steps;
+};
+
+TEST(Admission, TakenButUnstartedRequestsStillCountTowardTheDepth) {
+  // Every case pops once after queueing several requests: that pop takes
+  // the whole backlog as one batch but starts only the first request.
+  // The rest are taken-but-unstarted and must still weigh on admission
+  // exactly as if they were queued.
+  using Op = QueueStep::Op;
+  const std::vector<BatchedTakeCase> cases = {
+      {"capacity bound", 3, net::AdmissionPolicy::kQueueCapacity, 0,
+       {{Op::kPush, 1}, {Op::kPush, 1}, {Op::kPush, 1},
+        {Op::kPop, 1},   // 2 taken, unstarted
+        {Op::kPush, 1},  // depth 2 < 3
+        {Op::kPush, 0}}},  // depth 3: full
+      {"latency budget projection", 100,
+       net::AdmissionPolicy::kLatencyBudget, 500,
+       {{Op::kPush, 1}, {Op::kPush, 1}, {Op::kPush, 1},  // EWMA 0: free
+        {Op::kPop, 1},
+        {Op::kFeedDelay, 1000},  // ~1000us per queued item
+        {Op::kPush, 0}}},  // 2 taken x ~1000us > 500us budget
+      {"depth_at_admit and size", 8, net::AdmissionPolicy::kQueueCapacity,
+       0,
+       {{Op::kPush, 1}, {Op::kPush, 1}, {Op::kPush, 1},
+        {Op::kPop, 1, 0},
+        {Op::kExpectSize, 2},
+        {Op::kPush, 1},  // admitted behind the 2 taken
+        {Op::kExpectSize, 3},
+        {Op::kPop, 1, 1}, {Op::kPop, 1, 2},
+        {Op::kPop, 1, 2},
+        {Op::kExpectSize, 0}}},
+      {"close drains a taken batch", 8,
+       net::AdmissionPolicy::kQueueCapacity, 0,
+       {{Op::kPush, 1}, {Op::kPush, 1}, {Op::kPush, 1},
+        {Op::kPop, 1},
+        {Op::kClose},
+        {Op::kPush, 0},  // closed refuses new work
+        {Op::kExpectSize, 2},
+        {Op::kPop, 1}, {Op::kPop, 1},
+        {Op::kPop, 0}}},  // drained + closed
+  };
+  for (const BatchedTakeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    net::BoundedRequestQueue queue(c.capacity, c.policy,
+                                   c.latency_budget_us);
+    for (std::size_t i = 0; i < c.steps.size(); ++i) {
+      SCOPED_TRACE("step " + std::to_string(i));
+      const QueueStep& step = c.steps[i];
+      switch (step.op) {
+        case Op::kPush:
+          EXPECT_EQ(queue.try_push(net::PendingRequest{}), step.arg == 1);
+          break;
+        case Op::kPop: {
+          net::PendingRequest out;
+          EXPECT_EQ(queue.pop(out), step.arg == 1);
+          if (step.depth != QueueStep::kAnyDepth) {
+            EXPECT_EQ(out.depth_at_admit, step.depth);
+          }
+          break;
+        }
+        case Op::kClose:
+          queue.close();
+          break;
+        case Op::kExpectSize:
+          EXPECT_EQ(queue.size(), step.arg);
+          break;
+        case Op::kFeedDelay:
+          for (int k = 0; k < 64; ++k) {
+            queue.observe_queue_delay_us(static_cast<double>(step.arg), 1);
+          }
+          break;
+      }
+    }
+  }
+}
+
+TEST(Admission, BatchPushDecidesEachRequestInArrivalOrder) {
+  net::BoundedRequestQueue queue(3);
+  std::vector<net::PendingRequest> batch(5);
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].conn_id = i;
+  std::vector<std::uint8_t> admitted(batch.size(), 7);
+  EXPECT_EQ(queue.try_push_batch(batch, admitted), 3u);
+  EXPECT_EQ(admitted, (std::vector<std::uint8_t>{1, 1, 1, 0, 0}));
+  net::PendingRequest out;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(queue.pop(out));
+    EXPECT_EQ(out.conn_id, i);          // FIFO
+    EXPECT_EQ(out.depth_at_admit, i);   // one depth per request
+  }
 }
 
 // ------------------------------------------------------------ load model
@@ -673,6 +815,90 @@ TEST(EdgeServer, SplitsQueueDelayFromServiceTime) {
   // service time.
   EXPECT_GE(queue_delay.mean(), 1000.0);
   server->stop();
+}
+
+TEST(EdgeServer, ChunkAdmissionShedsInArrivalOrderAcrossWorkers) {
+  // Two slow workers, one queue slot each. Once both workers are inside
+  // their first serve, a single write carries 8 requests alternating
+  // between them: the first per worker takes its slot and the other 6
+  // shed at once. Their shed responses must leave in ARRIVAL order
+  // (4, 5, 6, ...), not grouped by worker (4, 6, 8, 5, ...).
+  net::ServerConfig server_config;
+  server_config.workers = 2;
+  server_config.queue_capacity = 1;
+  server_config.service_delay_us = 200000;
+  const std::unique_ptr<net::EdgeServer> server =
+      make_server(small_edge_config(), server_config);
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server->start().ok());
+
+  util::Result<net::UniqueFd> fd = net::connect_loopback(server->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().to_string();
+  // worker_for is (user * odd constant) % 2: user parity picks the worker.
+  auto user_of = [](std::uint64_t id) { return 1 + (id % 2); };
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    net::append_request(bytes, request_frame(id, user_of(id), 5.0, 5.0));
+  }
+  ASSERT_TRUE(net::write_all(fd->get(), bytes.data(), bytes.size()).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  bytes.clear();
+  for (std::uint64_t id = 2; id < 10; ++id) {
+    net::append_request(bytes, request_frame(id, user_of(id), 5.0, 5.0));
+  }
+  ASSERT_TRUE(net::write_all(fd->get(), bytes.data(), bytes.size()).ok());
+
+  const std::vector<std::uint64_t> order = read_response_ids(fd->get(), 10);
+  ASSERT_EQ(order.size(), 10u);
+  // The 6 sheds answer before any 200 ms serve finishes.
+  EXPECT_EQ(std::vector<std::uint64_t>(order.begin(), order.begin() + 6),
+            (std::vector<std::uint64_t>{4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(server->metrics().counter_value(net::net_metrics::kShed), 6u);
+  server->stop();
+}
+
+TEST(EdgeServer, PoisonedChunkAdmitsTheFramesBeforeItAndStagesNothingOver) {
+  // One write: 3 valid frames, then bytes with a bad magic. The 3 are
+  // admitted as before (their answers are dropped with the connection),
+  // the stream is closed, and none of them may be left staged for the
+  // next connection's chunk to admit under the wrong connection.
+  const std::unique_ptr<net::EdgeServer> server =
+      make_server(small_edge_config());
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server->start().ok());
+
+  util::Result<net::UniqueFd> poisoned =
+      net::connect_loopback(server->port());
+  ASSERT_TRUE(poisoned.ok()) << poisoned.status().to_string();
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t id = 100; id < 103; ++id) {
+    net::append_request(bytes, request_frame(id, 1 + id % 4, 5.0, 5.0));
+  }
+  net::append_request(bytes, request_frame(103, 1, 5.0, 5.0));
+  bytes[bytes.size() - net::kServeRequestBodyBytes -
+        net::kFrameHeaderBytes] ^= 0xFF;  // the 4th frame's magic
+  ASSERT_TRUE(
+      net::write_all(poisoned->get(), bytes.data(), bytes.size()).ok());
+  std::uint8_t sink[256];
+  EXPECT_LE(::recv(poisoned->get(), sink, sizeof(sink), 0), 0)
+      << "a poisoned stream must be closed without answers";
+  // The close came after the admission of the 3, within the same chunk.
+  const obs::MetricsRegistry& metrics = server->metrics();
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kRequests), 3u);
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kParseErrors), 1u);
+
+  util::Result<net::BlockingClient> client =
+      net::BlockingClient::connect(server->port());
+  ASSERT_TRUE(client.ok());
+  for (std::uint64_t id = 0; id < 5; ++id) {
+    util::Result<net::ServeResponseFrame> response =
+        client->call(request_frame(id, 1 + id % 4, 5.0, 5.0));
+    ASSERT_TRUE(response.ok()) << response.status().to_string();
+    EXPECT_EQ(response->request_id, id);
+  }
+  server->stop();
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kRequests), 3u + 5u);
+  EXPECT_EQ(metrics.counter_value(net::net_metrics::kResponses), 5u);
 }
 
 // -------------------------------------------- fail private over the wire
