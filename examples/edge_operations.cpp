@@ -1,9 +1,9 @@
 // Edge operations walkthrough: the deployment-facing features.
 //
 //   1. serve traffic and read the telemetry counters;
-//   2. snapshot the obfuscation tables to disk, "restart" the device, and
-//      restore -- proving the permanent candidates survive (regenerating
-//      them would be a privacy leak);
+//   2. save the device's snapshot to disk, "restart" into a fresh device,
+//      and open it -- proving the permanent candidates survive
+//      (regenerating them would be a privacy leak);
 //   3. per-user personalized privacy levels;
 //   4. the privacy accountant's view of a protected user vs. what a
 //      one-time geo-IND user would have spent.
@@ -11,10 +11,9 @@
 // Build & run:  ./build/examples/edge_operations
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <filesystem>
 
 #include "core/edge_device.hpp"
-#include "core/table_store.hpp"
 
 int main() {
   using namespace privlocad;
@@ -51,23 +50,43 @@ int main() {
   std::printf("--- telemetry after 400 requests ---\n%s\n",
               device.telemetry().to_string().c_str());
 
-  // ---- 2. snapshot / restart / restore --------------------------------
-  std::stringstream storage, profile_storage;
-  core::save_tables(storage, device.snapshot_tables());
-  core::save_profiles(profile_storage, device.snapshot_profiles());
-  std::printf("persisted: %zu bytes of tables, %zu bytes of profiles\n\n",
-              storage.str().size(), profile_storage.str().size());
+  // ---- 2. snapshot / restart / open ------------------------------------
+  const std::filesystem::path snapshot_path =
+      std::filesystem::temp_directory_path() / "edge_operations.snap";
+  if (const util::Status saved = device.save_snapshot(snapshot_path.string());
+      !saved.ok()) {
+    std::fprintf(stderr, "save_snapshot: %s\n", saved.to_string().c_str());
+    return 1;
+  }
+  std::printf("persisted: %ju bytes of snapshot (profiles, top sets, frozen "
+              "candidate sets, RNG streams)\n\n",
+              static_cast<std::uintmax_t>(
+                  std::filesystem::file_size(snapshot_path)));
 
   core::EdgeDevice restarted(config.with_seed(/*different seed=*/777));
-  restarted.restore_tables(core::load_tables(storage, 100.0));
-  restarted.restore_profiles(core::load_profiles(profile_storage));
-  const core::ReportedLocation replay = restarted.report_location(
-      1, alice_home, trace::kStudyStart + 100 * trace::kSecondsPerDay);
+  const util::Status opened = restarted.open_snapshot(snapshot_path.string());
+  std::filesystem::remove(snapshot_path);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "open_snapshot: %s\n", opened.to_string().c_str());
+    return 1;
+  }
+  const trace::Timestamp later =
+      trace::kStudyStart + 100 * trace::kSecondsPerDay;
+  const core::ReportedLocation replay =
+      restarted.report_location(1, alice_home, later);
+  // The original device's next release at home: the restarted one must
+  // pick from the same frozen set with the same stream.
+  const core::ReportedLocation original =
+      device.report_location(1, alice_home, later);
   std::printf("after restart, alice's report still comes from the frozen "
-              "set: (%.1f, %.1f) [%s]\n\n",
+              "set: (%.1f, %.1f) [%s], %s the original device's release; "
+              "%zu new candidate set(s) drawn\n\n",
               replay.location.x, replay.location.y,
               replay.kind == core::ReportKind::kTopLocation ? "top"
-                                                            : "nomadic");
+                                                            : "nomadic",
+              replay.location == original.location ? "identical to"
+                                                   : "DIFFERENT from",
+              restarted.telemetry().tables_generated);
 
   // ---- 3 + 4. privacy accounting ---------------------------------------
   const lppm::PrivacySpend alice = device.accountant().spend_for(1);

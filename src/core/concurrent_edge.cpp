@@ -10,7 +10,8 @@
 namespace privlocad::core {
 
 ConcurrentEdge::ConcurrentEdge(EdgeConfig config)
-    : metrics_(std::make_shared<obs::MetricsRegistry>()) {
+    : metrics_(std::make_shared<obs::MetricsRegistry>()),
+      faults_(config.faults) {
   config.validate();
   shards_.reserve(config.shards);
   for (std::size_t i = 0; i < config.shards; ++i) {
@@ -134,8 +135,8 @@ BatchServeStats ConcurrentEdge::serve_trace_batch(
 }
 
 util::Status ConcurrentEdge::save_snapshot(const std::string& path) {
-  snapshot::Writer writer(path,
-                          static_cast<std::uint32_t>(shards_.size()));
+  snapshot::Writer writer(path, static_cast<std::uint32_t>(shards_.size()),
+                          faults_);
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     ++shard->lock_count;
@@ -146,7 +147,7 @@ util::Status ConcurrentEdge::save_snapshot(const std::string& path) {
 
 util::Status ConcurrentEdge::open_snapshot(const std::string& path) {
   util::Result<snapshot::OpenedSnapshot> opened =
-      snapshot::open_validated(path);
+      snapshot::open_validated(path, faults_);
   if (!opened.ok()) return opened.status();
   if (opened.value().shard_count != shards_.size()) {
     return util::Status::failed_precondition(

@@ -95,13 +95,16 @@ class ConcurrentEdge {
   /// Persists every shard's data plane into one snapshot file (one arena
   /// section per shard, taken under each shard's mutex in turn -- callers
   /// wanting a globally consistent point-in-time image should quiesce
-  /// traffic first). Returns kIoError when the file cannot be written.
+  /// traffic first). Returns kIoError when the file cannot be written, or
+  /// the injected code of a `snapshot` fault (the target is untouched).
   util::Status save_snapshot(const std::string& path);
 
   /// Replaces this (empty) box's data plane with a mapped snapshot.
-  /// Returns kIoError / kParseError on damage, kFailedPrecondition when
-  /// any shard already holds users or the snapshot's shard count differs
-  /// from this box's (the shard hash must agree with the saved layout).
+  /// Returns kIoError / kParseError on damage, the injected code of a
+  /// `snapshot` fault (checked before any shard loads), and
+  /// kFailedPrecondition when any shard already holds users or the
+  /// snapshot's shard count differs from this box's (the shard hash must
+  /// agree with the saved layout).
   /// All or nothing: on any error no shard keeps a loaded section, so a
   /// later open of a good file on the same box succeeds.
   util::Status open_snapshot(const std::string& path);
@@ -147,6 +150,9 @@ class ConcurrentEdge {
   void publish_shard_counters() const;
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
+  /// The config's injector for the `snapshot` fault site (nullptr: the
+  /// process-global one, resolved by the snapshot module).
+  fault::FaultInjector* faults_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

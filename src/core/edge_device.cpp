@@ -247,75 +247,21 @@ void EdgeDevice::set_user_privacy(std::uint64_t user_id,
 }
 
 const lppm::BoundedGeoIndParams& EdgeDevice::user_privacy(
-    std::uint64_t user_id) {
-  return mechanism_for(arena_.find_or_create(user_id)).params();
-}
-
-TableSnapshot EdgeDevice::snapshot_tables() const {
-  TableSnapshot snapshot;
-  for (UserArena::Row row = 0; row < arena_.size(); ++row) {
-    const std::size_t entries = arena_.entry_count(row);
-    if (entries == 0) continue;
-    ObfuscationTable copy(config_.table_match_radius_m);
-    for (std::size_t i = 0; i < entries; ++i) {
-      ObfuscationTable::Entry entry;
-      entry.top_location = arena_.entry_top(row, i);
-      const simd::PointSpan span = arena_.entry_candidates(row, i);
-      entry.candidates.reserve(span.size);
-      for (std::size_t c = 0; c < span.size; ++c) {
-        entry.candidates.push_back({span.xs[c], span.ys[c]});
-      }
-      copy.restore(std::move(entry));
-    }
-    snapshot.emplace(arena_.user_id(row), std::move(copy));
-  }
-  return snapshot;
-}
-
-ProfileSnapshot EdgeDevice::snapshot_profiles() const {
-  ProfileSnapshot snapshot;
-  for (UserArena::Row row = 0; row < arena_.size(); ++row) {
-    if (!arena_.has_profile(row)) continue;
-    StoredProfile stored;
-    stored.profile = arena_.profile_of(row);
-    const std::size_t tops = arena_.top_size(row);
-    stored.top_indices.reserve(tops);
-    for (std::size_t i = 0; i < tops; ++i) {
-      stored.top_indices.push_back(arena_.top_index(row, i));
-    }
-    snapshot.emplace(arena_.user_id(row), std::move(stored));
-  }
-  return snapshot;
-}
-
-void EdgeDevice::restore_profiles(const ProfileSnapshot& snapshot) {
-  for (const auto& [user_id, stored] : snapshot) {
-    const UserArena::Row row = arena_.find_or_create(user_id);
-    arena_.restore_profile(row, stored.profile, stored.top_indices);
-  }
-}
-
-void EdgeDevice::restore_tables(TableSnapshot snapshot) {
-  for (auto& [user_id, table] : snapshot) {
-    const UserArena::Row row = arena_.find_or_create(user_id);
-    util::require(arena_.entry_count(row) == 0,
-                  "cannot restore tables over a user with live entries");
-    for (const ObfuscationTable::Entry& entry : table.entries()) {
-      arena_.restore_entry(row, entry.top_location, entry.candidates,
-                           config_.table_match_radius_m);
-    }
-  }
+    std::uint64_t user_id) const {
+  const UserArena::Row row = arena_.find(user_id);
+  return row == UserArena::kNoRow ? top_mechanism_.params()
+                                  : mechanism_for(row).params();
 }
 
 util::Status EdgeDevice::save_snapshot(const std::string& path) {
-  snapshot::Writer writer(path, 1);
+  snapshot::Writer writer(path, 1, faults_);
   write_snapshot_section(writer);
   return writer.finish();
 }
 
 util::Status EdgeDevice::open_snapshot(const std::string& path) {
   util::Result<snapshot::OpenedSnapshot> opened =
-      snapshot::open_validated(path);
+      snapshot::open_validated(path, faults_);
   if (!opened.ok()) return opened.status();
   if (opened.value().shard_count != 1) {
     return util::Status::failed_precondition(
@@ -356,9 +302,10 @@ void EdgeDevice::discard_snapshot_section() {
 
 const std::vector<attack::ProfileEntry>& EdgeDevice::top_locations(
     std::uint64_t user_id) {
-  const UserArena::Row row = arena_.find_or_create(user_id);
-  const std::size_t tops = arena_.top_size(row);
   top_scratch_.clear();
+  const UserArena::Row row = arena_.find(user_id);
+  if (row == UserArena::kNoRow) return top_scratch_;
+  const std::size_t tops = arena_.top_size(row);
   top_scratch_.reserve(tops);
   for (std::size_t i = 0; i < tops; ++i) {
     top_scratch_.push_back(arena_.top_entry(row, i));
@@ -367,12 +314,13 @@ const std::vector<attack::ProfileEntry>& EdgeDevice::top_locations(
 }
 
 RiskAssessment EdgeDevice::assess_user_risk(std::uint64_t user_id,
-                                            const RiskConfig& config) {
-  const UserArena::Row row = arena_.find_or_create(user_id);
+                                            const RiskConfig& config) const {
+  const UserArena::Row row = arena_.find(user_id);
+  const bool known = row != UserArena::kNoRow;
   const attack::LocationProfile profile =
-      arena_.has_profile(row) ? arena_.profile_of(row)
-                              : attack::LocationProfile();
-  return assess_risk(profile, arena_.total_check_ins(row),
+      known && arena_.has_profile(row) ? arena_.profile_of(row)
+                                       : attack::LocationProfile();
+  return assess_risk(profile, known ? arena_.total_check_ins(row) : 0,
                      accountant_.spend_for(user_id), config);
 }
 

@@ -38,10 +38,7 @@
 #include <vector>
 
 #include "adnet/ad_network.hpp"
-#include "core/location_management.hpp"
-#include "core/profile_store.hpp"
 #include "core/risk.hpp"
-#include "core/table_store.hpp"
 #include "core/telemetry.hpp"
 #include "core/user_arena.hpp"
 #include "fault/fault.hpp"
@@ -93,8 +90,9 @@ struct EdgeConfig {
   /// Backoff policy for transient obfuscation-input faults in serve().
   fault::RetryPolicy retry{};
 
-  /// Fault injector consulted by serve(); nullptr selects
-  /// fault::FaultInjector::global() (configured from PRIVLOCAD_FAULTS).
+  /// Fault injector consulted by serve() and by snapshot save/open;
+  /// nullptr selects fault::FaultInjector::global() (configured from
+  /// PRIVLOCAD_FAULTS).
   fault::FaultInjector* faults = nullptr;
 
   /// Throws util::InvalidArgument unless every field is in-domain
@@ -213,41 +211,29 @@ class EdgeDevice {
   void set_user_privacy(std::uint64_t user_id,
                         lppm::BoundedGeoIndParams params);
 
-  /// The parameters governing `user_id`'s future top-location releases.
-  const lppm::BoundedGeoIndParams& user_privacy(std::uint64_t user_id);
+  /// The parameters governing `user_id`'s future top-location releases
+  /// (the device's top_params for a user without personal ones).
+  const lppm::BoundedGeoIndParams& user_privacy(std::uint64_t user_id) const;
 
   /// Pre-generates the permanent candidate sets for every current top
   /// location of `user_id` (Table II measures exactly this step).
   void prepare_obfuscation(std::uint64_t user_id);
 
+  /// `user_id`'s current top locations; empty for an unknown user. Like
+  /// user_privacy() and assess_user_risk(), a read-only query: it never
+  /// creates a row, so probing unknown ids neither grows user_count() nor
+  /// the saved snapshot.
   const std::vector<attack::ProfileEntry>& top_locations(
       std::uint64_t user_id);
-
-  /// Copies every user's obfuscation table for persistence. Restarting a
-  /// device WITHOUT restoring this state would regenerate fresh noise for
-  /// known top locations -- a privacy leak; pair with restore_tables().
-  /// (Binary alternative: save_snapshot persists the whole device state.)
-  TableSnapshot snapshot_tables() const;
-
-  /// Copies every user's profile + top-location set for persistence; a
-  /// restarted device that restores these resumes top-location service
-  /// immediately instead of serving nomadically for a whole window.
-  ProfileSnapshot snapshot_profiles() const;
-
-  /// Restores persisted profiles (startup flow). Throws if any restored
-  /// user already has a live profile.
-  void restore_profiles(const ProfileSnapshot& snapshot);
-
-  /// Restores previously saved tables (startup flow). Throws
-  /// util::InvalidArgument if any restored user already has table entries
-  /// in this device.
-  void restore_tables(TableSnapshot snapshot);
 
   // ------------------------------------------------------------ snapshots
   /// Persists the entire data plane (every user's profile, top set,
   /// frozen candidate sets, pending window, RNG stream, and personalized
-  /// parameters) into one binary snapshot file (core/snapshot.hpp).
-  /// Returns kIoError when the file cannot be written.
+  /// parameters) into one binary snapshot file (core/snapshot.hpp). This
+  /// is the restart path: a device restarted WITHOUT its snapshot would
+  /// draw fresh noise for known top locations -- a privacy leak.
+  /// Returns kIoError when the file cannot be written, or the injected
+  /// code of the config injector's `snapshot` fault site.
   util::Status save_snapshot(const std::string& path);
 
   /// Replaces this (empty) device's data plane with a mapped snapshot:
@@ -255,9 +241,9 @@ class EdgeDevice {
   /// opening is O(map + checksum + directory rebuild). Serving then
   /// resumes exactly where the saved device left off -- bit-identical
   /// outputs, because the per-user RNG streams are part of the snapshot.
-  /// Returns kIoError / kParseError on damage (the device is then left
-  /// empty), kFailedPrecondition when this device already holds users or
-  /// the snapshot is multi-shard.
+  /// Returns kIoError / kParseError on damage or the injected code of a
+  /// `snapshot` fault (the device is then left empty), kFailedPrecondition
+  /// when this device already holds users or the snapshot is multi-shard.
   util::Status open_snapshot(const std::string& path);
 
   /// Section-level halves of save/open, used by ConcurrentEdge to pack
@@ -288,9 +274,10 @@ class EdgeDevice {
 
   /// Risk assessment for `user_id` from their current profile, lifetime
   /// check-in count, and privacy spend (paper Section I: the edge
-  /// "assesses the risk of location privacy breaches").
+  /// "assesses the risk of location privacy breaches"). An unknown user
+  /// is assessed from an empty profile.
   RiskAssessment assess_user_risk(std::uint64_t user_id,
-                                  const RiskConfig& config = {});
+                                  const RiskConfig& config = {}) const;
 
   std::size_t user_count() const { return arena_.size(); }
   const EdgeConfig& config() const { return config_; }
@@ -318,7 +305,8 @@ class EdgeDevice {
   lppm::PlanarLaplaceMechanism nomadic_mechanism_;
   lppm::PrivacyAccountant accountant_;
   std::shared_ptr<obs::MetricsRegistry> metrics_;
-  /// The injector serve() consults (config's, or the process-global one).
+  /// The injector serve() and the snapshot paths consult (config's, or
+  /// the process-global one).
   fault::FaultInjector* faults_;
   // Metric handles resolved once at construction so the serving hot path
   // never takes the registry's registration mutex.

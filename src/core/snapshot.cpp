@@ -225,8 +225,12 @@ std::uint64_t xxh64(const void* data, std::size_t n) {
 
 // ------------------------------------------------------------------ Writer
 
-Writer::Writer(const std::string& path, std::uint32_t shard_count)
-    : path_(path), tmp_path_(path + ".tmp"), shard_count_(shard_count) {
+Writer::Writer(const std::string& path, std::uint32_t shard_count,
+               fault::FaultInjector* faults)
+    : path_(path),
+      tmp_path_(path + ".tmp"),
+      shard_count_(shard_count),
+      faults_(faults != nullptr ? faults : &fault::FaultInjector::global()) {
   fd_ = open_retry(tmp_path_.c_str(),
                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd_ < 0) {
@@ -325,6 +329,7 @@ util::Status Writer::finish() {
     }
     fd_ = -1;
   }
+  if (status_.ok()) status_ = faults_->check(fault::Site::kSnapshot);
   if (status_.ok() && ::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
     status_ = util::Status::io_error("cannot publish snapshot (rename " +
                                      tmp_path_ + " -> " + path_ + ")" +
@@ -377,7 +382,13 @@ util::Result<std::shared_ptr<Mapping>> map_file(const std::string& path) {
       new Mapping(static_cast<const std::uint8_t*>(base), size));
 }
 
-util::Result<OpenedSnapshot> open_validated(const std::string& path) {
+util::Result<OpenedSnapshot> open_validated(const std::string& path,
+                                           fault::FaultInjector* faults) {
+  fault::FaultInjector& injector =
+      faults != nullptr ? *faults : fault::FaultInjector::global();
+  if (util::Status s = injector.check(fault::Site::kSnapshot); !s.ok()) {
+    return s;
+  }
   util::Result<std::shared_ptr<Mapping>> mapped = map_file(path);
   if (!mapped.ok()) return mapped.status();
   const std::shared_ptr<Mapping>& mapping = mapped.value();

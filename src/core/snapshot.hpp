@@ -7,8 +7,13 @@
 // can adopt in place from the read-only mapping, with only the small
 // mutable row scalars copied out. The checksum still reads every payload
 // byte once before any column is adopted, so it runs at memory speed:
-// a 1M-user population loads in fractions of a second instead of
-// re-parsing gigabytes of CSV.
+// a 1M-user population loads in fractions of a second.
+//
+// The snapshot is the edge's only persistence format and its restart
+// mechanism: it carries every user's frozen candidate sets, so a
+// restarted box replays them instead of drawing fresh noise. It is also
+// the `snapshot` fault-injection site (fault/fault.hpp): every save and
+// every open consults the injector once.
 //
 // File layout (all integers little-endian, host == file endianness is
 // enforced by the endian tag):
@@ -47,6 +52,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "util/status.hpp"
 
 namespace privlocad::core::snapshot {
@@ -99,9 +105,13 @@ std::uint64_t xxh64(const void* data, std::size_t n);
 /// directory entry itself is durable. All I/O is raw-fd with EINTR and
 /// short-write retry loops, and every ::close on this write path is
 /// checked -- a close error is a late write error and fails the save.
+///
+/// finish() checks the `snapshot` fault site once, just before the
+/// rename; `faults` == nullptr selects fault::FaultInjector::global().
 class Writer {
  public:
-  Writer(const std::string& path, std::uint32_t shard_count);
+  Writer(const std::string& path, std::uint32_t shard_count,
+         fault::FaultInjector* faults = nullptr);
   ~Writer();
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
@@ -125,7 +135,8 @@ class Writer {
 
   /// Patches the header with the final payload size + checksum, fsyncs,
   /// and atomically renames the temp file over the target path. Returns
-  /// the first error hit anywhere, if any; on error the temp file is
+  /// the first error hit anywhere, if any, or the injected transient
+  /// code of a firing `snapshot` fault check; on error the temp file is
   /// unlinked and the target path is left untouched.
   util::Status finish();
 
@@ -145,6 +156,7 @@ class Writer {
   std::string tmp_path_;
   std::vector<std::uint8_t> buffer_;
   std::uint32_t shard_count_ = 0;
+  fault::FaultInjector* faults_;
   std::uint64_t payload_bytes_ = 0;
   Xxh64 checksum_;
   bool finished_ = false;
@@ -189,7 +201,11 @@ struct OpenedSnapshot {
 /// kParseError for any structural damage (truncation, bad magic/version/
 /// endianness, checksum mismatch). The checksum matching the header's
 /// version is recomputed over the whole payload before this returns.
-util::Result<OpenedSnapshot> open_validated(const std::string& path);
+/// The `snapshot` fault site is checked once first, so a firing check
+/// returns its injected transient code before anything is mapped or
+/// adopted; `faults` == nullptr selects fault::FaultInjector::global().
+util::Result<OpenedSnapshot> open_validated(
+    const std::string& path, fault::FaultInjector* faults = nullptr);
 
 /// Bounds-checked cursor over a mapped payload. read_column yields a
 /// zero-copy pointer into the mapping (8-byte aligned by construction);

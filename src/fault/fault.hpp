@@ -4,8 +4,8 @@
 // stands between the user's raw top locations and the ad network on EVERY
 // request -- including the ones where a store is unreachable or the
 // exchange times out. This module makes those failure seams testable: a
-// FaultPlan assigns each injection site (table store, profile store,
-// exchange, edge serving) a seeded probability/latency/error schedule, and
+// FaultPlan assigns each injection site (snapshot persistence, exchange,
+// edge serving) a seeded probability/latency/error schedule, and
 // a FaultInjector replays that schedule deterministically -- the i-th check
 // at a site fires or not as a pure function of (plan seed, site, i), so a
 // fixed seed reproduces the exact fault mix and therefore the exact serving
@@ -36,14 +36,13 @@ namespace privlocad::fault {
 
 /// Every operation boundary faults can be injected into.
 enum class Site : std::size_t {
-  kTableStore = 0,  ///< obfuscation-table persistence (load/save)
-  kProfileStore,    ///< profile persistence (load/save)
-  kExchange,        ///< adnet exchange / ad-network round trip
-  kServe,           ///< edge obfuscation-input acquisition in serve()
+  kSnapshot = 0,  ///< snapshot persistence (one check per save and per open)
+  kExchange,      ///< adnet exchange / ad-network round trip
+  kServe,         ///< edge obfuscation-input acquisition in serve()
 };
-inline constexpr std::size_t kSiteCount = 4;
+inline constexpr std::size_t kSiteCount = 3;
 
-/// Stable lowercase name ("table_store", ...) used by the spec grammar,
+/// Stable lowercase name ("snapshot", ...) used by the spec grammar,
 /// metric names, and error messages.
 const char* site_name(Site site);
 
@@ -80,7 +79,7 @@ struct FaultPlan {
   /// Parses a spec string. Grammar (';'-separated entries):
   ///   seed=<uint>
   ///   <site>:p=<prob>[,latency_us=<us>][,code=<name>]
-  /// where <site> is table_store | profile_store | exchange | serve and
+  /// where <site> is snapshot | exchange | serve and
   /// <name> is unavailable | timeout | resource_exhausted. Example:
   ///   "seed=42;serve:p=0.3;exchange:p=0.25,latency_us=50,code=timeout"
   /// Returns kParseError with the offending entry on a malformed spec.

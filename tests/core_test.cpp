@@ -10,9 +10,8 @@
 
 #include "core/edge_device.hpp"
 #include "core/eta_frequent.hpp"
-#include "core/location_management.hpp"
-#include "core/obfuscation_table.hpp"
 #include "core/output_selection.hpp"
+#include "core/user_arena.hpp"
 #include "lppm/gaussian.hpp"
 #include "rng/engine.hpp"
 #include "rng/samplers.hpp"
@@ -87,6 +86,9 @@ TEST(EtaFrequent, DomainErrors) {
 
 // ------------------------------------------------------ location management
 
+// Location management (paper Section V-B) lives in UserArena: one user's
+// window, profile and top set, driven through the arena's record/rebuild.
+
 LocationManagementConfig fast_window() {
   LocationManagementConfig c;
   c.window_seconds = 1000;
@@ -94,139 +96,190 @@ LocationManagementConfig fast_window() {
   return c;
 }
 
+/// One user's location-management state in a fresh arena.
+struct ManagedUser {
+  explicit ManagedUser(LocationManagementConfig c) : config(c) {}
+
+  bool record(geo::Point position, trace::Timestamp time) {
+    return arena.record(row, position, time, config);
+  }
+  void rebuild_now() { arena.rebuild_now(row, config); }
+  std::size_t top_count() const { return arena.top_size(row); }
+  attack::ProfileEntry top(std::size_t i) const {
+    return arena.top_entry(row, i);
+  }
+  std::size_t pending() const { return arena.pending_check_ins(row); }
+
+  LocationManagementConfig config;
+  UserArena arena{rng::Engine(1)};
+  UserArena::Row row = arena.find_or_create(1);
+};
+
 TEST(LocationManager, NoTopLocationsBeforeFirstRebuild) {
-  LocationManager mgr(fast_window());
+  ManagedUser mgr(fast_window());
   mgr.record({0, 0}, 0);
-  EXPECT_TRUE(mgr.top_locations().empty());
-  EXPECT_FALSE(mgr.profile().has_value());
-  EXPECT_EQ(mgr.pending_check_ins(), 1u);
+  EXPECT_EQ(mgr.top_count(), 0u);
+  EXPECT_FALSE(mgr.arena.has_profile(mgr.row));
+  EXPECT_EQ(mgr.pending(), 1u);
 }
 
 TEST(LocationManager, WindowCrossingTriggersRebuild) {
-  LocationManager mgr(fast_window());
+  ManagedUser mgr(fast_window());
   for (int i = 0; i < 10; ++i) {
     EXPECT_FALSE(mgr.record({0.0 + i * 0.1, 0.0}, i));
   }
   // Crossing the 1000-second boundary rebuilds from the completed window.
   EXPECT_TRUE(mgr.record({5000, 5000}, 2000));
-  ASSERT_FALSE(mgr.top_locations().empty());
-  EXPECT_NEAR(mgr.top_locations()[0].location.x, 0.45, 0.01);
-  EXPECT_EQ(mgr.pending_check_ins(), 1u);  // the triggering check-in
+  ASSERT_GT(mgr.top_count(), 0u);
+  EXPECT_NEAR(mgr.top(0).location.x, 0.45, 0.01);
+  EXPECT_EQ(mgr.pending(), 1u);  // the triggering check-in
 }
 
 TEST(LocationManager, RebuildNowFlushesPending) {
-  LocationManager mgr(fast_window());
+  ManagedUser mgr(fast_window());
   for (int i = 0; i < 5; ++i) mgr.record({0, 0}, i);
   mgr.rebuild_now();
-  ASSERT_EQ(mgr.top_locations().size(), 1u);
-  EXPECT_EQ(mgr.top_locations()[0].frequency, 5u);
-  EXPECT_EQ(mgr.pending_check_ins(), 0u);
+  ASSERT_EQ(mgr.top_count(), 1u);
+  EXPECT_EQ(mgr.top(0).frequency, 5u);
+  EXPECT_EQ(mgr.pending(), 0u);
 }
 
 TEST(LocationManager, MinTopFrequencyFiltersOneOffs) {
   LocationManagementConfig c = fast_window();
   c.eta_fraction = 1.0;  // would otherwise include everything
   c.min_top_frequency = 3;
-  LocationManager mgr(c);
+  ManagedUser mgr(c);
   for (int i = 0; i < 5; ++i) mgr.record({0, 0}, i);
   mgr.record({9000, 9000}, 6);  // single one-off
   mgr.rebuild_now();
-  ASSERT_EQ(mgr.top_locations().size(), 1u);
-  EXPECT_EQ(mgr.top_locations()[0].frequency, 5u);
+  ASSERT_EQ(mgr.top_count(), 1u);
+  EXPECT_EQ(mgr.top(0).frequency, 5u);
+  // The one-off stays in the profile; only the top set drops it.
+  EXPECT_EQ(mgr.arena.profile_size(mgr.row), 2u);
 }
 
 TEST(LocationManager, EtaFractionControlsSetSize) {
   LocationManagementConfig c = fast_window();
   c.eta_fraction = 0.6;
   c.min_top_frequency = 1;
-  LocationManager mgr(c);
+  ManagedUser mgr(c);
   for (int i = 0; i < 60; ++i) mgr.record({0, 0}, i);
   for (int i = 0; i < 40; ++i) mgr.record({8000, 0}, 100 + i);
   mgr.rebuild_now();
-  EXPECT_EQ(mgr.top_locations().size(), 1u);  // top-1 covers 60% >= eta
+  EXPECT_EQ(mgr.top_count(), 1u);  // top-1 covers 60% >= eta
 }
 
 TEST(LocationManager, SparseWindowDoesNotWipeTopLocations) {
   LocationManagementConfig c = fast_window();
   c.min_window_check_ins = 10;
-  LocationManager mgr(c);
+  ManagedUser mgr(c);
   for (int i = 0; i < 20; ++i) mgr.record({0, 0}, i);
   mgr.rebuild_now();
-  ASSERT_EQ(mgr.top_locations().size(), 1u);
+  ASSERT_EQ(mgr.top_count(), 1u);
 
   // One straggler check-in crosses the next window boundary: with the
   // guard it must NOT trigger a rebuild that erases the top set.
   EXPECT_FALSE(mgr.record({0, 0}, 5000));
-  EXPECT_EQ(mgr.top_locations().size(), 1u);
+  EXPECT_EQ(mgr.top_count(), 1u);
   // Once enough check-ins accumulate past the boundary, the rebuild runs.
   bool rebuilt = false;
   for (int i = 1; i < 15; ++i) {
     rebuilt = mgr.record({0, 0}, 5000 + 2000 + i) || rebuilt;
   }
   EXPECT_TRUE(rebuilt);
-  EXPECT_EQ(mgr.top_locations().size(), 1u);
+  EXPECT_EQ(mgr.top_count(), 1u);
 }
 
 TEST(LocationManager, InvalidConfigRejected) {
-  LocationManagementConfig c = fast_window();
-  c.window_seconds = 0;
-  EXPECT_THROW(LocationManager{c}, util::InvalidArgument);
-  c = fast_window();
-  c.eta_fraction = 0.0;
-  EXPECT_THROW(LocationManager{c}, util::InvalidArgument);
+  EdgeConfig c;
+  c.management = fast_window();
+  c.management.window_seconds = 0;
+  EXPECT_THROW(c.validate(), util::InvalidArgument);
+  EXPECT_THROW(EdgeDevice{c}, util::InvalidArgument);
+  c.management = fast_window();
+  c.management.eta_fraction = 0.0;
+  EXPECT_THROW(EdgeDevice{c}, util::InvalidArgument);
+  c.management = fast_window();
+  c.management.profiling_threshold_m = 0.0;
+  EXPECT_THROW(EdgeDevice{c}, util::InvalidArgument);
 }
 
 // -------------------------------------------------------- obfuscation table
 
+// Obfuscation table T (paper Section V-C) lives in UserArena's entry
+// columns. The serve path's lookup-or-generate step, spelled out here.
+std::vector<geo::Point> candidates_for(UserArena& arena, UserArena::Row row,
+                                       rng::Engine& engine,
+                                       const lppm::Mechanism& mechanism,
+                                       geo::Point top_location) {
+  std::int64_t entry = arena.find_entry(row, top_location, 100.0);
+  if (entry < 0) {
+    entry = static_cast<std::int64_t>(
+        arena.add_entry(row, top_location, mechanism, engine));
+  }
+  const simd::PointSpan span = arena.entry_candidates(row, entry);
+  std::vector<geo::Point> out;
+  for (std::size_t i = 0; i < span.size; ++i) {
+    out.push_back({span.xs[i], span.ys[i]});
+  }
+  return out;
+}
+
 TEST(ObfuscationTable, GeneratesOnceAndReplays) {
-  ObfuscationTable table(100.0);
+  UserArena arena{rng::Engine(1)};
+  const UserArena::Row row = arena.find_or_create(1);
   const lppm::NFoldGaussianMechanism mech(paper_params(5));
   rng::Engine e(1);
 
-  const auto& first = table.candidates_for(e, mech, {0, 0});
+  const std::vector<geo::Point> first =
+      candidates_for(arena, row, e, mech, {0, 0});
   ASSERT_EQ(first.size(), 5u);
-  const std::vector<geo::Point> snapshot = first;
 
   // Same location -> identical (permanent) candidates, no regeneration.
-  const auto& again = table.candidates_for(e, mech, {0, 0});
-  ASSERT_EQ(again.size(), snapshot.size());
-  for (std::size_t i = 0; i < snapshot.size(); ++i) {
-    EXPECT_EQ(again[i], snapshot[i]);
-  }
-  EXPECT_EQ(table.size(), 1u);
+  const std::vector<geo::Point> again =
+      candidates_for(arena, row, e, mech, {0, 0});
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(arena.entry_count(row), 1u);
 }
 
 TEST(ObfuscationTable, NearbyDriftReusesEntry) {
-  ObfuscationTable table(100.0);
+  UserArena arena{rng::Engine(2)};
+  const UserArena::Row row = arena.find_or_create(1);
   const lppm::NFoldGaussianMechanism mech(paper_params(3));
   rng::Engine e(2);
-  const auto& original = table.candidates_for(e, mech, {0, 0});
-  const std::vector<geo::Point> snapshot = original;
+  const std::vector<geo::Point> original =
+      candidates_for(arena, row, e, mech, {0, 0});
   // A centroid drifted 50 m (inside the match radius) hits the same entry.
-  const auto& drifted = table.candidates_for(e, mech, {50, 0});
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(drifted[0], snapshot[0]);
+  const std::vector<geo::Point> drifted =
+      candidates_for(arena, row, e, mech, {50, 0});
+  EXPECT_EQ(arena.entry_count(row), 1u);
+  EXPECT_EQ(drifted, original);
 }
 
 TEST(ObfuscationTable, FarLocationCreatesNewEntry) {
-  ObfuscationTable table(100.0);
+  UserArena arena{rng::Engine(3)};
+  const UserArena::Row row = arena.find_or_create(1);
   const lppm::NFoldGaussianMechanism mech(paper_params(3));
   rng::Engine e(3);
-  table.candidates_for(e, mech, {0, 0});
-  table.candidates_for(e, mech, {5000, 0});
-  EXPECT_EQ(table.size(), 2u);
+  candidates_for(arena, row, e, mech, {0, 0});
+  candidates_for(arena, row, e, mech, {5000, 0});
+  EXPECT_EQ(arena.entry_count(row), 2u);
 }
 
 TEST(ObfuscationTable, LookupWithoutGeneration) {
-  ObfuscationTable table(100.0);
+  UserArena arena{rng::Engine(4)};
+  const UserArena::Row row = arena.find_or_create(1);
   const lppm::NFoldGaussianMechanism mech(paper_params(3));
   rng::Engine e(4);
-  EXPECT_FALSE(table.lookup({0, 0}).has_value());
-  table.candidates_for(e, mech, {0, 0});
-  EXPECT_TRUE(table.lookup({0, 0}).has_value());
-  EXPECT_TRUE(table.lookup({99, 0}).has_value());
-  EXPECT_FALSE(table.lookup({500, 0}).has_value());
-  EXPECT_THROW(ObfuscationTable(0.0), util::InvalidArgument);
+  EXPECT_LT(arena.find_entry(row, {0, 0}, 100.0), 0);
+  candidates_for(arena, row, e, mech, {0, 0});
+  EXPECT_EQ(arena.find_entry(row, {0, 0}, 100.0), 0);
+  EXPECT_EQ(arena.find_entry(row, {99, 0}, 100.0), 0);
+  EXPECT_LT(arena.find_entry(row, {500, 0}, 100.0), 0);
+  EXPECT_EQ(arena.entry_count(row), 1u);  // lookups never generate
+  EdgeConfig zero_radius;
+  zero_radius.table_match_radius_m = 0.0;
+  EXPECT_THROW(zero_radius.validate(), util::InvalidArgument);
 }
 
 // --------------------------------------------------------- output selection
@@ -387,54 +440,6 @@ TEST(EdgeDevice, UsersAreIsolated) {
   const ReportedLocation r = edge.report_location(2, home, 0);
   EXPECT_EQ(r.kind, ReportKind::kNomadic);
   EXPECT_EQ(edge.user_count(), 2u);
-}
-
-TEST(EdgeDevice, SnapshotRestoreSurvivesRestart) {
-  const geo::Point home{100.0, 200.0};
-  trace::UserTrace history;
-  history.user_id = 1;
-  for (int i = 0; i < 50; ++i) history.check_ins.push_back({home, i});
-
-  // Device A freezes a candidate set, then "crashes".
-  EdgeDevice device_a(fast_edge_config().with_seed(42));
-  device_a.import_history(1, history);
-  const ReportedLocation before = device_a.report_location(1, home, 2000);
-  ASSERT_EQ(before.kind, ReportKind::kTopLocation);
-  const TableSnapshot snapshot = device_a.snapshot_tables();
-  ASSERT_EQ(snapshot.size(), 1u);
-
-  // Device B restarts with a different engine seed but restored tables:
-  // it must replay the SAME frozen candidates, never fresh noise.
-  EdgeDevice device_b(fast_edge_config().with_seed(777));
-  device_b.restore_tables(snapshot);
-  device_b.import_history(1, history);
-  std::set<std::pair<double, double>> replayed;
-  for (int i = 0; i < 100; ++i) {
-    const ReportedLocation r = device_b.report_location(1, home, 3000 + i);
-    ASSERT_EQ(r.kind, ReportKind::kTopLocation);
-    replayed.insert({r.location.x, r.location.y});
-  }
-  const auto& saved = snapshot.at(1).entries().front().candidates;
-  for (const auto& [x, y] : replayed) {
-    const bool from_saved_set = std::any_of(
-        saved.begin(), saved.end(), [&](geo::Point p) {
-          return geo::distance(p, {x, y}) < 1e-9;
-        });
-    EXPECT_TRUE(from_saved_set);
-  }
-}
-
-TEST(EdgeDevice, RestoreOverLiveEntriesRejected) {
-  const geo::Point home{0.0, 0.0};
-  trace::UserTrace history;
-  history.user_id = 1;
-  for (int i = 0; i < 50; ++i) history.check_ins.push_back({home, i});
-
-  EdgeDevice device(fast_edge_config().with_seed(42));
-  device.import_history(1, history);
-  device.prepare_obfuscation(1);
-  const TableSnapshot snapshot = device.snapshot_tables();
-  EXPECT_THROW(device.restore_tables(snapshot), util::InvalidArgument);
 }
 
 TEST(EdgeDevice, AccountantChargesOncePerTopLocation) {

@@ -6,16 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "adnet/exchange.hpp"
 #include "core/concurrent_edge.hpp"
-#include "core/profile_store.hpp"
 #include "core/system.hpp"
-#include "core/table_store.hpp"
 #include "fault/fault.hpp"
 #include "fault/retry.hpp"
 #include "trace/synthetic.hpp"
@@ -143,7 +140,7 @@ TEST(FaultPlan, ParsesTheDocumentedGrammar) {
   EXPECT_DOUBLE_EQ(plan.site(fault::Site::kExchange).latency_us, 50.0);
   EXPECT_EQ(plan.site(fault::Site::kExchange).code,
             util::ErrorCode::kTimeout);
-  EXPECT_EQ(plan.site(fault::Site::kTableStore).probability, 0.0);
+  EXPECT_EQ(plan.site(fault::Site::kSnapshot).probability, 0.0);
   EXPECT_FALSE(plan.summary().empty());
 }
 
@@ -213,6 +210,38 @@ TEST(FaultInjector, FiredChecksCarryTheConfiguredCode) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::ErrorCode::kTimeout);
   EXPECT_TRUE(status.transient());
+}
+
+/// The first 256 check() decisions at `site` under a p=0.3 plan, packed
+/// four per hex digit (first decision in the high bit; 1 = fired).
+std::string schedule_hex(std::uint64_t seed, fault::Site site) {
+  fault::FaultPlan plan;
+  plan.seed = seed;
+  plan.site(site).probability = 0.3;
+  fault::FaultInjector injector(plan);
+  std::string hex;
+  for (int i = 0; i < 256; i += 4) {
+    int nibble = 0;
+    for (int b = 0; b < 4; ++b) {
+      nibble = (nibble << 1) | (injector.check(site).ok() ? 0 : 1);
+    }
+    hex += "0123456789abcdef"[nibble];
+  }
+  return hex;
+}
+
+// Golden schedules: each site's decisions are keyed on a fixed stream key,
+// so adding or removing another site must leave these bit-identical (and
+// with them every PRIVLOCAD_FAULTS serve/exchange run).
+TEST(FaultInjector, ServeAndExchangeSchedulesArePinned) {
+  EXPECT_EQ(schedule_hex(1, fault::Site::kServe),
+            "c90332418012ac32510110a048a51602c4229698e715004505c230cea1b0c461");
+  EXPECT_EQ(schedule_hex(1, fault::Site::kExchange),
+            "430012580c8263240116028e6908f604c58190038091a280c30241382a8d820d");
+  EXPECT_EQ(schedule_hex(42, fault::Site::kServe),
+            "20a86142205220a00a010ae8a0c1312102841e24a00335200034c9c102163005");
+  EXPECT_EQ(schedule_hex(42, fault::Site::kExchange),
+            "14024000091984ac4083d965046dda10e68511543f284dc20000c4d010019016");
 }
 
 // ---------------------------------------------------------- retry/backoff
@@ -511,97 +540,6 @@ TEST(FaultServing, ConcurrentBatchCompletesUnderFaults) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GT(stats.degraded_dropped + stats.served_after_retry, 0u);
   EXPECT_EQ(edge.telemetry().requests, stats.requests);
-}
-
-// ------------------------------------------------------- stores + faults
-
-TEST(FaultStores, MissingFileIsANonRetryableIoError) {
-  const util::Result<core::TableSnapshot> result =
-      core::try_load_tables_file("/nonexistent/tables.csv", 100.0);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::ErrorCode::kIoError);
-
-  const util::Result<core::ProfileSnapshot> profiles =
-      core::try_load_profiles_file("/nonexistent/profiles.csv");
-  ASSERT_FALSE(profiles.ok());
-  EXPECT_EQ(profiles.status().code(), util::ErrorCode::kIoError);
-}
-
-TEST(FaultStores, CorruptFileIsAParseErrorNotARetry) {
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "privlocad_corrupt_tables.csv";
-  {
-    std::ofstream out(path);
-    out << "user_id,entry_index,top_x,top_y,cand_index,cand_x,cand_y\n";
-    out << "1,0,0.0\n";  // ragged row
-  }
-  const util::Result<core::TableSnapshot> result =
-      core::try_load_tables_file(path.string(), 100.0);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::ErrorCode::kParseError);
-  std::filesystem::remove(path);
-}
-
-TEST(FaultStores, RoundTripSucceedsAndInjectedFaultsSurface) {
-  core::EdgeDevice device(fast_config().with_seed(42));
-  anchor_home(device, {0, 0});
-  device.prepare_obfuscation(1);
-
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "privlocad_fault_tables.csv";
-  fault::RetryPolicy policy;
-  policy.initial_backoff_us = 0.0;
-  policy.max_backoff_us = 0.0;
-  policy.jitter = 0.0;
-
-  ASSERT_TRUE(
-      core::try_save_tables_file(path.string(), device.snapshot_tables(),
-                                 policy)
-          .ok());
-  const util::Result<core::TableSnapshot> loaded =
-      core::try_load_tables_file(path.string(), 100.0, policy);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 1u);
-
-  // A certain table-store fault exhausts retries with the injected code.
-  fault::FaultPlan plan;
-  plan.site(fault::Site::kTableStore).probability = 1.0;
-  fault::FaultInjector injector(plan);
-  const util::Result<core::TableSnapshot> blocked =
-      core::try_load_tables_file(path.string(), 100.0, policy, &injector);
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.status().code(), util::ErrorCode::kUnavailable);
-  EXPECT_EQ(injector.injected(fault::Site::kTableStore),
-            policy.max_attempts);
-  std::filesystem::remove(path);
-}
-
-TEST(FaultStores, ProfileStoreHonoursItsOwnFaultSite) {
-  core::EdgeDevice device(fast_config().with_seed(42));
-  anchor_home(device, {0, 0});
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() /
-      "privlocad_fault_profiles.csv";
-  fault::RetryPolicy policy;
-  policy.initial_backoff_us = 0.0;
-  policy.max_backoff_us = 0.0;
-  policy.jitter = 0.0;
-
-  fault::FaultPlan plan;
-  plan.site(fault::Site::kProfileStore).probability = 1.0;
-  plan.site(fault::Site::kProfileStore).code =
-      util::ErrorCode::kResourceExhausted;
-  fault::FaultInjector injector(plan);
-
-  const util::Status blocked = core::try_save_profiles_file(
-      path.string(), device.snapshot_profiles(), policy, &injector);
-  EXPECT_EQ(blocked.code(), util::ErrorCode::kResourceExhausted);
-
-  ASSERT_TRUE(core::try_save_profiles_file(path.string(),
-                                           device.snapshot_profiles(), policy)
-                  .ok());
-  EXPECT_TRUE(core::try_load_profiles_file(path.string(), policy).ok());
-  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------------ exchange + system
