@@ -1,34 +1,28 @@
 // Open-loop server SLO bench: the maximum sustainable load of one
-// edge_serverd box, and its behavior past saturation -- per IO backend
-// and per admission policy.
+// edge_serverd box, and its behavior past saturation -- per admission
+// policy.
 //
 // Protocol:
 //   1. Boot an EdgeServer (in-process: same threads + sockets as the
-//      daemon, minus process management) on the primary backend
-//      (--backend=epoll|io_uring, default epoll so the committed
-//      perf-guard baseline compares like against like) with a
-//      Zipf-popular synthetic population.
+//      daemon, minus process management) with a Zipf-popular synthetic
+//      population.
 //   2. Climb a geometric rps ladder (x2 per rung). Each rung drives a
 //      Poisson open-loop plan and records client-observed latency
 //      measured from the SCHEDULED arrival instant -- the offered load
 //      never slows down to match the server, so there is no coordinated
 //      omission hiding queueing delay.
-//   3. Each primary rung runs its plan kPrimaryRepeats (3) times and is
+//   3. Each rung runs its plan kRungRepeats (3) times and is
 //      judged on the MEDIAN p99, shed fraction and missing count: host
 //      noise alone moves one run's p99 by an order of magnitude, so a
 //      single unlucky run must not end the climb. The highest rung whose
 //      median p99 meets the SLO with median shed fraction <= 1% is the
 //      reported max_sustainable_rps (its median achieved rate); every
 //      rung also records the min/max p99 across its repeats.
-//   4. The SAME ladder runs against the other backend (when available)
-//      so the record carries epoll_* and io_uring_* sustained rps + p99
-//      side by side. io_uring_available says whether the io_uring
-//      column is real or zero-filled.
-//   5. A DIURNAL phase replays a time-of-day rate envelope (same mean
+//   4. A DIURNAL phase replays a time-of-day rate envelope (same mean
 //      rate as the sustainable rung, sinusoidal peak/trough) against
-//      the primary server: diurnal_* keys report the envelope the
-//      server actually rode out.
-//   6. One final BURSTY overload phase at ~4x the sustainable rate
+//      the same server: diurnal_* keys report the envelope the server
+//      actually rode out.
+//   5. One final BURSTY overload phase at ~4x the sustainable rate
 //      verifies the saturation contract: bounded queues shed
 //      deterministically (degraded_dropped), every request is accounted
 //      for, and no raw coordinate crosses the wire. The same overload
@@ -46,7 +40,6 @@
 
 #include "bench_common.hpp"
 #include "net/client.hpp"
-#include "net/io_backend.hpp"
 #include "net/load_model.hpp"
 #include "net/server.hpp"
 
@@ -101,8 +94,8 @@ StepOutcome run_step(std::uint16_t port, double target_rps,
                   max_shed_fraction);
 }
 
-/// Runs per primary-ladder rung; the rung is judged on their medians.
-constexpr std::size_t kPrimaryRepeats = 3;
+/// Runs per ladder rung; the rung is judged on their medians.
+constexpr std::size_t kRungRepeats = 3;
 
 template <typename T>
 T median_of(std::vector<T> values) {
@@ -110,7 +103,7 @@ T median_of(std::vector<T> values) {
   return values[values.size() / 2];
 }
 
-/// One rung run `repeats` times on the same plan, reduced to the median
+/// One rung run kRungRepeats times on the same plan, reduced to the median
 /// run's numbers plus the p99 spread.
 struct RungOutcome {
   double target_rps = 0.0;
@@ -127,12 +120,11 @@ struct RungOutcome {
 RungOutcome run_rung(std::uint16_t port, double target_rps,
                      double duration_s, std::size_t users,
                      std::size_t connections, std::uint64_t seed,
-                     double slo_p99_us, double max_shed_fraction,
-                     std::size_t repeats) {
+                     double slo_p99_us, double max_shed_fraction) {
   std::vector<double> achieved, p50, p99, shed_fraction;
   std::vector<std::uint64_t> shed, missing;
   std::size_t with_responses = 0;
-  for (std::size_t r = 0; r < repeats; ++r) {
+  for (std::size_t r = 0; r < kRungRepeats; ++r) {
     const StepOutcome step =
         run_step(port, target_rps, duration_s, users, connections, seed,
                  net::ArrivalProcess::kPoisson, slo_p99_us,
@@ -154,7 +146,7 @@ RungOutcome run_rung(std::uint16_t port, double target_rps,
   rung.p99_max_us = *std::max_element(p99.begin(), p99.end());
   rung.shed = median_of(shed);
   rung.missing = median_of(missing);
-  rung.sustainable = with_responses == repeats && rung.missing == 0 &&
+  rung.sustainable = with_responses == kRungRepeats && rung.missing == 0 &&
                      rung.p99_us <= slo_p99_us &&
                      median_of(shed_fraction) <= max_shed_fraction;
   return rung;
@@ -166,15 +158,13 @@ struct LadderOutcome {
   std::uint64_t steps = 0;
 };
 
-/// Climbs the geometric rps ladder against `port`, `repeats` runs per
-/// rung, and prints one row per rung. When `metrics` is non-null,
-/// per-rung step<N>_* keys are emitted (the primary ladder only; the
-/// comparison ladder stays summary-only).
+/// Climbs the geometric rps ladder against `port`, kRungRepeats runs
+/// per rung, prints one row per rung and emits its step<N>_* keys.
 LadderOutcome run_ladder(std::uint16_t port, double min_rps, double max_rps,
                          double duration_s, std::size_t users,
                          std::size_t connections, std::uint64_t seed,
                          double slo_p99_us, double max_shed_fraction,
-                         std::size_t repeats, bench::JsonMetrics* metrics) {
+                         bench::JsonMetrics& metrics) {
   std::printf("\n%10s %10s %10s %10s %10s %10s %10s %8s %6s\n", "target",
               "achieved", "p50_us", "p99_us", "p99_min", "p99_max", "shed",
               "missing", "ok");
@@ -183,19 +173,16 @@ LadderOutcome run_ladder(std::uint16_t port, double min_rps, double max_rps,
   for (double rps = min_rps; rps <= max_rps; rps *= 2.0) {
     const RungOutcome rung =
         run_rung(port, rps, duration_s, users, connections,
-                 seed + outcome.steps, slo_p99_us, max_shed_fraction,
-                 repeats);
+                 seed + outcome.steps, slo_p99_us, max_shed_fraction);
     ++outcome.steps;
-    if (metrics != nullptr) {
-      const std::string prefix = "step" + std::to_string(outcome.steps);
-      metrics->add(prefix + "_target_rps", rung.target_rps);
-      metrics->add(prefix + "_achieved_rps", rung.achieved_rps);
-      metrics->add(prefix + "_p99_us", rung.p99_us);
-      metrics->add(prefix + "_p99_min_us", rung.p99_min_us);
-      metrics->add(prefix + "_p99_max_us", rung.p99_max_us);
-      metrics->add(prefix + "_shed", rung.shed);
-      metrics->add(prefix + "_missing", rung.missing);
-    }
+    const std::string prefix = "step" + std::to_string(outcome.steps);
+    metrics.add(prefix + "_target_rps", rung.target_rps);
+    metrics.add(prefix + "_achieved_rps", rung.achieved_rps);
+    metrics.add(prefix + "_p99_us", rung.p99_us);
+    metrics.add(prefix + "_p99_min_us", rung.p99_min_us);
+    metrics.add(prefix + "_p99_max_us", rung.p99_max_us);
+    metrics.add(prefix + "_shed", rung.shed);
+    metrics.add(prefix + "_missing", rung.missing);
     std::printf("%10.0f %10.0f %10.0f %10.0f %10.0f %10.0f %10llu %8llu "
                 "%6s\n",
                 rung.target_rps, rung.achieved_rps, rung.p50_us, rung.p99_us,
@@ -259,30 +246,16 @@ int main(int argc, char** argv) {
   const std::uint64_t overload_factor =
       bench::flag_or(argc, argv, "overload-factor", 4);
   const std::uint64_t seed = bench::flag_or(argc, argv, "seed", 1);
-  // The primary ladder defaults to epoll so the committed perf-guard
-  // baseline (measured on epoll) keeps comparing like against like; the
-  // io_uring column comes from the comparison ladder below.
-  const std::string backend_name =
-      bench::string_flag_or(argc, argv, "backend", "epoll");
   const double max_shed_fraction = 0.01;
-
-  util::Result<net::IoBackendKind> backend =
-      net::parse_io_backend_kind(backend_name.c_str());
-  if (!backend.ok()) {
-    std::fprintf(stderr, "bench_server_slo: %s\n",
-                 backend.status().to_string().c_str());
-    return 1;
-  }
 
   bench::print_header(
       "Open-loop server SLO: max sustainable load of one edge box");
   std::printf("users=%llu workers=%llu queue=%llu conns=%llu "
-              "backend=%s SLO p99 <= %llu us, shed <= %.0f%%\n",
+              "SLO p99 <= %llu us, shed <= %.0f%%\n",
               static_cast<unsigned long long>(users),
               static_cast<unsigned long long>(workers),
               static_cast<unsigned long long>(queue_capacity),
               static_cast<unsigned long long>(connections),
-              backend_name.c_str(),
               static_cast<unsigned long long>(slo_p99_us),
               max_shed_fraction * 100.0);
 
@@ -296,9 +269,8 @@ int main(int argc, char** argv) {
           .with_queue_capacity(static_cast<std::size_t>(queue_capacity));
 
   std::unique_ptr<net::EdgeServer> server =
-      make_server(edge_config, base_config.with_backend(backend.value()));
+      make_server(edge_config, base_config);
   if (server == nullptr) return 1;
-  const net::IoBackendKind primary_kind = server->backend_kind();
 
   const double duration_s = static_cast<double>(step_ms) / 1000.0;
   bench::JsonMetrics metrics;
@@ -307,69 +279,17 @@ int main(int argc, char** argv) {
   metrics.add("workers", workers);
   metrics.add("queue_capacity", queue_capacity);
   metrics.add("slo_p99_us", slo_p99_us);
-  metrics.add_string("backend", net::io_backend_kind_name(primary_kind));
+  metrics.add_string("backend",
+                     net::io_backend_kind_name(server->backend_kind()));
 
-  std::printf("\n-- primary ladder (%s) --\n",
-              net::io_backend_kind_name(primary_kind));
-  const LadderOutcome primary = run_ladder(
+  const LadderOutcome ladder = run_ladder(
       server->port(), static_cast<double>(min_rps),
       static_cast<double>(max_rps), duration_s,
       static_cast<std::size_t>(users), static_cast<std::size_t>(connections),
-      seed, static_cast<double>(slo_p99_us), max_shed_fraction,
-      kPrimaryRepeats, &metrics);
-  metrics.add("steps", primary.steps);
-  metrics.add("max_sustainable_rps", primary.sustainable_rps);
-  metrics.add("max_sustainable_p99_us", primary.sustainable_p99_us);
-
-  // Per-backend comparison: rerun the identical ladder (same seeds, same
-  // plans) on the OTHER backend so the record reports both columns. The
-  // io_uring column zero-fills when the kernel rejects the ring, and
-  // io_uring_available says which case this record is.
-  const bool io_uring_ok =
-      net::io_uring_compiled_in() && net::io_uring_available();
-  metrics.add("io_uring_available",
-              static_cast<std::uint64_t>(io_uring_ok ? 1 : 0));
-  const net::IoBackendKind other_kind =
-      primary_kind == net::IoBackendKind::kEpoll
-          ? net::IoBackendKind::kIoUring
-          : net::IoBackendKind::kEpoll;
-  LadderOutcome other;
-  bool ran_other = false;
-  if (other_kind == net::IoBackendKind::kIoUring && !io_uring_ok) {
-    std::printf("\n-- comparison ladder (io_uring): unavailable, "
-                "zero-filled --\n");
-  } else {
-    std::printf("\n-- comparison ladder (%s) --\n",
-                net::io_backend_kind_name(other_kind));
-    std::unique_ptr<net::EdgeServer> other_server =
-        make_server(edge_config, base_config.with_backend(other_kind));
-    if (other_server == nullptr) return 1;
-    other = run_ladder(other_server->port(), static_cast<double>(min_rps),
-                       static_cast<double>(max_rps), duration_s,
-                       static_cast<std::size_t>(users),
-                       static_cast<std::size_t>(connections), seed,
-                       static_cast<double>(slo_p99_us), max_shed_fraction,
-                       1, nullptr);
-    other_server->stop();
-    ran_other = true;
-  }
-  const LadderOutcome& epoll_outcome =
-      primary_kind == net::IoBackendKind::kEpoll ? primary : other;
-  const LadderOutcome& uring_outcome =
-      primary_kind == net::IoBackendKind::kIoUring ? primary : other;
-  metrics.add("epoll_max_sustainable_rps", epoll_outcome.sustainable_rps);
-  metrics.add("epoll_max_sustainable_p99_us",
-              epoll_outcome.sustainable_p99_us);
-  metrics.add("io_uring_max_sustainable_rps", uring_outcome.sustainable_rps);
-  metrics.add("io_uring_max_sustainable_p99_us",
-              uring_outcome.sustainable_p99_us);
-  std::printf("\nbackends: epoll %.0f rps (p99 %.0f us) | io_uring %s%.0f "
-              "rps (p99 %.0f us)\n",
-              epoll_outcome.sustainable_rps,
-              epoll_outcome.sustainable_p99_us,
-              io_uring_ok || ran_other ? "" : "[unavailable] ",
-              uring_outcome.sustainable_rps,
-              uring_outcome.sustainable_p99_us);
+      seed, static_cast<double>(slo_p99_us), max_shed_fraction, metrics);
+  metrics.add("steps", ladder.steps);
+  metrics.add("max_sustainable_rps", ladder.sustainable_rps);
+  metrics.add("max_sustainable_p99_us", ladder.sustainable_p99_us);
 
   // Diurnal phase: a time-of-day envelope at the sustainable MEAN rate
   // (one full synthetic day over the phase). The server should ride the
@@ -377,7 +297,7 @@ int main(int argc, char** argv) {
   // actually offered.
   net::LoadPlanConfig diurnal_config;
   diurnal_config.target_rps =
-      std::max(primary.sustainable_rps, static_cast<double>(min_rps));
+      std::max(ladder.sustainable_rps, static_cast<double>(min_rps));
   diurnal_config.duration_s = duration_s;
   diurnal_config.process = net::ArrivalProcess::kDiurnal;
   diurnal_config.diurnal_period_s = duration_s;
@@ -409,7 +329,7 @@ int main(int argc, char** argv) {
   // sustainable rate. The contract under test: no crash, bounded queues
   // (sheds counted as degraded_dropped), full accounting, zero leaks.
   const double overload_rps =
-      primary.sustainable_rps * static_cast<double>(overload_factor);
+      ladder.sustainable_rps * static_cast<double>(overload_factor);
   const StepOutcome overload = run_step(
       server->port(), overload_rps, duration_s,
       static_cast<std::size_t>(users),
@@ -438,7 +358,7 @@ int main(int argc, char** argv) {
   metrics.add("overload_missing", overload.stats.missing);
 
   // Admission-policy comparison: the SAME bursty overload plan against a
-  // fresh latency-budget server (budget = the SLO p99). The primary
+  // fresh latency-budget server (budget = the SLO p99). The first
   // server's overload above is the queue-capacity column; this is the
   // latency-budget one. Projected-delay shedding should hold queue delay
   // near the budget instead of letting the full queue depth build.
@@ -450,8 +370,7 @@ int main(int argc, char** argv) {
               overload.stats.shed_fraction());
   std::unique_ptr<net::EdgeServer> budget_server = make_server(
       edge_config,
-      base_config.with_backend(primary_kind)
-          .with_admission(net::AdmissionPolicy::kLatencyBudget)
+      base_config.with_admission(net::AdmissionPolicy::kLatencyBudget)
           .with_latency_budget_us(static_cast<std::uint32_t>(slo_p99_us)));
   if (budget_server == nullptr) return 1;
   const StepOutcome budget_overload = run_step(

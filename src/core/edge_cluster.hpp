@@ -5,10 +5,11 @@
 // The cluster partitions the study area into square cells, one edge device
 // per cell; an LBA request is served by the device owning the user's
 // current cell. Because a moving user touches several devices, each device
-// only sees a local profile slice; the cluster periodically merges the
-// slices (core/profile_merge.hpp) into a global profile and pushes the
-// resulting top-location set back so every device answers from the same
-// permanent obfuscation state.
+// only sees a local profile slice, and each device profiles, freezes and
+// serves its own top-location candidate sets from that slice: the cluster
+// never merges slices or shares obfuscation state between devices. A
+// caller that wants the global profile merges the slices itself with
+// merge_profiles (core/profile_merge.hpp), as the cluster tests do.
 //
 // This models the deployment topology the paper's scalability evaluation
 // (Tables II/III) assumes, and lets the benches measure per-device load.

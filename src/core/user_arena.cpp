@@ -599,6 +599,74 @@ util::Status UserArena::load(snapshot::Reader& reader) {
       return parse("window head outside the window columns");
     }
   }
+  // Each pending-window chain must end in kNoIndex after exactly
+  // win_count_ links, and no record may sit on two chains. Records are
+  // only ever appended, and compaction rewrites them oldest first, so
+  // every link points to an older record. Holding the file to that rules
+  // out cycles, and one forward pass then gives each record the length of
+  // the chain it starts, without chasing links. Most links point to the
+  // record just before, which no other link can have reached yet (links
+  // only go back), so only longer links, and the heads, check and set
+  // kLinked; a record also counts as reached when the next record links
+  // to it.
+  constexpr std::uint32_t kLinked = 0x80000000u;
+  if (win_xs_.size() >= kLinked) return parse("window columns too long");
+  const auto records = static_cast<std::uint32_t>(win_xs_.size());
+  const auto bad_link = [&](std::uint32_t link) {
+    return parse(link >= records ? "window link outside the window columns"
+                                 : "window link not to an older record");
+  };
+  const auto reached = [&](std::uint32_t record, std::uint32_t length) {
+    return (record + 1 < records && win_prev_[record + 1] == record) ||
+           (length & kLinked) != 0;
+  };
+  // Reused across loads: fresh pages for every shard's lengths cost more
+  // than the pass itself.
+  static thread_local std::vector<std::uint32_t> lengths;
+  if (lengths.size() < records) lengths.resize(records);
+  std::uint32_t* const length = lengths.data();
+  if (records > 0 && win_prev_[0] != kNoIndex) return bad_link(win_prev_[0]);
+  bool backward = true;
+  std::uint32_t last = 0;
+  for (std::uint32_t i = 0; i < records; ++i) {
+    const std::uint32_t next = win_prev_[i] + 1u;  // 0 for kNoIndex
+    backward &= next <= i;
+    if (next - 1u < i - 1u) {  // a link past the record just before
+      const std::uint32_t link = next - 1u;
+      if (reached(link, length[link])) {
+        return parse("window record linked twice");
+      }
+      last = length[link];
+      length[link] |= kLinked;
+    }
+    // Branch-free on purpose: kNoIndex starts a chain, a link extends
+    // one, and the two alternate too irregularly to predict.
+    last = (last & (0u - static_cast<std::uint32_t>(next != 0))) + 1;
+    length[i] = last;
+  }
+  for (std::uint32_t i = 0; !backward; ++i) {
+    if (win_prev_[i] != kNoIndex && win_prev_[i] >= i) {
+      return bad_link(win_prev_[i]);
+    }
+  }
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::uint32_t head = win_head_[row];
+    if (win_count_[row] == 0) {
+      if (head != kNoIndex) return parse("window chain longer than its count");
+      continue;
+    }
+    if (reached(head, length[head])) {
+      return parse("window record linked twice");
+    }
+    const std::uint32_t chain = length[head];
+    length[head] |= kLinked;
+    if (chain > win_count_[row]) {
+      return parse("window chain longer than its count");
+    }
+    if (chain < win_count_[row]) {
+      return parse("window chain shorter than its count");
+    }
+  }
   for (std::size_t e = 0; e < ent_xs_.size(); ++e) {
     // A frozen set is never empty; serving one would fail every request.
     if (ent_cand_count_[e] == 0) return parse("entry without candidates");

@@ -4,7 +4,6 @@
 // modes:
 //   edge_serverd [--port N] [--shards N] [--workers N]
 //                [--queue-capacity N] [--seed N]
-//                [--backend=auto|epoll|io_uring]
 //                [--admission=queue_capacity|latency_budget]
 //                [--latency-budget-us N]
 //     Runs until SIGINT/SIGTERM, then stops cleanly and dumps the
@@ -138,15 +137,6 @@ int main(int argc, char** argv) {
   edge_config.shards =
       static_cast<std::size_t>(flag_or(argc, argv, "--shards", 4));
 
-  const std::string backend_name =
-      string_flag_or(argc, argv, "--backend", "auto");
-  util::Result<net::IoBackendKind> backend =
-      net::parse_io_backend_kind(backend_name.c_str());
-  if (!backend.ok()) {
-    std::fprintf(stderr, "edge_serverd: %s\n",
-                 backend.status().to_string().c_str());
-    return 1;
-  }
   const std::string admission_name =
       string_flag_or(argc, argv, "--admission", "queue_capacity");
   util::Result<net::AdmissionPolicy> admission =
@@ -165,13 +155,12 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(flag_or(argc, argv, "--workers", 2)))
           .with_queue_capacity(static_cast<std::size_t>(
               flag_or(argc, argv, "--queue-capacity", 1024)))
-          .with_backend(backend.value())
           .with_admission(admission.value())
           .with_latency_budget_us(static_cast<std::uint32_t>(
               flag_or(argc, argv, "--latency-budget-us", 20000)));
 
-  // No exceptions to catch: every failure (bad port, bind failure, an
-  // unsatisfiable backend request) comes back as a typed Status.
+  // No exceptions to catch: every failure (bad port, bind failure, IO
+  // setup) comes back as a typed Status.
   util::Result<std::unique_ptr<net::EdgeServer>> created =
       net::EdgeServer::create(edge_config, server_config);
   if (!created.ok()) {

@@ -82,13 +82,8 @@ bool EpollBackend::try_flush(Conn& conn) {
     return false;
   }
   conn.compact_out();
-  const bool need_epollout = conn.out_backlog() > 0;
-  if (need_epollout != conn.want_write) {
-    conn.want_write = need_epollout;
-    // The caller knows the id; re-arm via the map lookup the call sites
-    // already hold. update_interest needs the id, so flush() and the
-    // EPOLLOUT path call it directly.
-  }
+  // The callers hold the id, so they re-arm via update_interest.
+  conn.want_write = conn.out_backlog() > 0;
   return conn.out_backlog() < before;
 }
 
@@ -104,13 +99,12 @@ void EpollBackend::flush(std::uint64_t conn_id) {
   if (it == conns_.end() || it->second.dead) return;
   Conn& conn = it->second;
   const bool was_want_write = conn.want_write;
-  const bool flushed = try_flush(conn);
+  try_flush(conn);
   if (conn.dead) {
     if (sink_ != nullptr) sink_->on_closed(conn_id);
     return;
   }
   if (conn.want_write != was_want_write) update_interest(conn_id, conn);
-  (void)flushed;
 }
 
 std::size_t EpollBackend::outbound_bytes(std::uint64_t conn_id) const {

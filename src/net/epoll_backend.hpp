@@ -1,9 +1,9 @@
-// The PR 8 serving loop's IO mechanics, repackaged behind IoBackend:
-// level-triggered epoll, readiness-driven recv/send, EPOLLOUT armed only
-// while a backlog exists, EPOLLIN disarmed while the sink holds reads
-// paused. Behavior- and metrics-identical to the pre-contract loop --
-// the protocol core (net/server.cpp) makes every policy decision; this
-// class only moves bytes.
+// edge_serverd's IO engine: level-triggered epoll, readiness-driven
+// recv/send, EPOLLOUT armed only while a backlog exists, EPOLLIN
+// disarmed while the sink holds reads paused. The protocol core
+// (net/server.cpp) makes every policy decision; this class only moves
+// bytes. See net/io_backend.hpp for the IoSink callbacks and the
+// threading contract.
 #pragma once
 
 #include <cstddef>
@@ -13,25 +13,58 @@
 
 #include "net/io_backend.hpp"
 #include "net/socket.hpp"
+#include "util/status.hpp"
 
 namespace privlocad::net {
 
-class EpollBackend final : public IoBackend {
+/// Lifecycle: init() once, poll() from the IO loop until stop,
+/// shutdown_flush() last.
+class EpollBackend {
  public:
-  EpollBackend() = default;
+  /// Takes (non-owning) the listening socket and the worker-completion
+  /// eventfd, and the sink all events are delivered to. The listen fd
+  /// must already be bound + listening; accepted sockets get
+  /// TCP_NODELAY.
+  util::Status init(int listen_fd, int wake_fd, IoSink& sink);
 
-  IoBackendKind kind() const override { return IoBackendKind::kEpoll; }
-  util::Status init(int listen_fd, int wake_fd, IoSink& sink) override;
-  util::Status poll(int timeout_ms) override;
+  /// One wait-and-dispatch batch: waits up to `timeout_ms` for readiness
+  /// (the tick) and delivers every ready event through the sink. A
+  /// wake_fd write from any thread interrupts the wait; the engine
+  /// drains the eventfd counter itself (poll() returning IS the wake
+  /// notification). Returns non-ok only when epoll_wait itself failed --
+  /// per-connection errors surface as on_closed instead.
+  util::Status poll(int timeout_ms);
+
+  /// Appends `n` bytes to `conn_id`'s outbound buffer. No flush
+  /// guarantee until flush() -- callers batch appends per connection and
+  /// flush once, so pipelined responses coalesce into large sends.
+  /// Unknown ids are ignored (the peer may already be gone).
   void queue_send(std::uint64_t conn_id, const std::uint8_t* data,
-                  std::size_t n) override;
-  void flush(std::uint64_t conn_id) override;
-  std::size_t outbound_bytes(std::uint64_t conn_id) const override;
-  void pause_reads(std::uint64_t conn_id) override;
-  void resume_reads(std::uint64_t conn_id) override;
-  void close_connection(std::uint64_t conn_id) override;
-  std::size_t open_connection_count() const override;
-  void shutdown_flush() override;
+                  std::size_t n);
+
+  /// Sends `conn_id`'s outbound backlog until EAGAIN, arming EPOLLOUT
+  /// while a backlog remains.
+  void flush(std::uint64_t conn_id);
+
+  /// Outbound bytes buffered for `conn_id` (the byte-budget input).
+  std::size_t outbound_bytes(std::uint64_t conn_id) const;
+
+  /// Stops/resumes delivering on_data for `conn_id` (EPOLLIN disarm).
+  void pause_reads(std::uint64_t conn_id);
+  void resume_reads(std::uint64_t conn_id);
+
+  /// Sink-initiated immediate close (poisoned stream, protocol error).
+  /// Undelivered inbound bytes and unflushed outbound bytes are
+  /// discarded; on_closed is NOT fired.
+  void close_connection(std::uint64_t conn_id);
+
+  /// Connections currently open (accepted, not yet closed).
+  std::size_t open_connection_count() const;
+
+  /// Shutdown path: best-effort non-blocking flush of every outbound
+  /// buffer, then closes every connection and the epoll fd. poll() must
+  /// not be called afterwards.
+  void shutdown_flush();
 
  private:
   /// Per-connection IO state. `out` is head-indexed so flushing never

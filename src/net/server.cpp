@@ -75,28 +75,15 @@ void EdgeServer::ConnState::compact_in() {
 }
 
 EdgeServer::EdgeServer(core::EdgeConfig edge_config,
-                       ServerConfig server_config,
-                       IoBackendKind backend_kind,
-                       std::unique_ptr<IoBackend> backend)
-    : config_(server_config),
-      edge_(std::move(edge_config)),
-      backend_kind_(backend_kind),
-      backend_(std::move(backend)) {}
+                       ServerConfig server_config)
+    : config_(server_config), edge_(std::move(edge_config)) {}
 
 util::Result<std::unique_ptr<EdgeServer>> EdgeServer::create(
     core::EdgeConfig edge_config, ServerConfig server_config) {
   if (util::Status s = server_config.validated(); !s.ok()) return s;
 
-  util::Result<IoBackendKind> resolved =
-      resolve_io_backend(server_config.backend);
-  if (!resolved.ok()) return resolved.status();
-  util::Result<std::unique_ptr<IoBackend>> backend =
-      make_io_backend(resolved.value());
-  if (!backend.ok()) return backend.status();
-
   std::unique_ptr<EdgeServer> server(
-      new EdgeServer(std::move(edge_config), server_config,
-                     resolved.value(), std::move(backend.value())));
+      new EdgeServer(std::move(edge_config), server_config));
 
   obs::MetricsRegistry& registry = server->edge_.metrics();
   server->connections_opened_ =
@@ -120,8 +107,6 @@ util::Result<std::unique_ptr<EdgeServer>> EdgeServer::create(
   server->queue_depth_ = &registry.gauge(net_metrics::kQueueDepth);
   server->admit_batches_.resize(server_config.workers);
   server->admit_decisions_.resize(server_config.workers);
-  registry.gauge(net_metrics::kBackend)
-      .set(static_cast<double>(resolved.value()));
 
   util::Result<UniqueFd> listen = listen_loopback(
       static_cast<std::uint16_t>(server->config_.port), server->port_);
@@ -135,9 +120,9 @@ util::Result<std::unique_ptr<EdgeServer>> EdgeServer::create(
     return util::Status::io_error(std::string("eventfd failed: ") +
                                   std::strerror(errno));
   }
-  if (util::Status s = server->backend_->init(server->listen_fd_.get(),
-                                              server->wake_fd_.get(),
-                                              *server);
+  if (util::Status s = server->backend_.init(server->listen_fd_.get(),
+                                             server->wake_fd_.get(),
+                                             *server);
       !s.ok()) {
     return s;
   }
@@ -159,8 +144,8 @@ util::Status EdgeServer::start() {
         "EdgeServer::start called twice");
   }
   if (stopped_) {
-    // stop() closed the listen socket and the eventfd and tore the
-    // backend down; none of it can be brought back.
+    // stop() closed the listen socket and the eventfd and tore the IO
+    // engine down; none of it can be brought back.
     return util::Status::failed_precondition(
         "EdgeServer::start after stop: a server serves once");
   }
@@ -256,13 +241,13 @@ void EdgeServer::queue_response(std::uint64_t conn_id,
                                 const ServeResponseFrame& frame) {
   encode_scratch_.clear();
   append_response(encode_scratch_, frame);
-  backend_->queue_send(conn_id, encode_scratch_.data(),
-                       encode_scratch_.size());
+  backend_.queue_send(conn_id, encode_scratch_.data(),
+                      encode_scratch_.size());
   responses_->add();
 }
 
 void EdgeServer::close_and_forget(std::uint64_t conn_id) {
-  backend_->close_connection(conn_id);
+  backend_.close_connection(conn_id);
   connections_closed_->add();
   conn_states_.erase(conn_id);
 }
@@ -271,15 +256,15 @@ void EdgeServer::reevaluate_backpressure(std::uint64_t conn_id) {
   const auto it = conn_states_.find(conn_id);
   if (it == conn_states_.end()) return;
   ConnState& conn = it->second;
-  const std::size_t backlog = backend_->outbound_bytes(conn_id);
+  const std::size_t backlog = backend_.outbound_bytes(conn_id);
   if (!conn.read_paused && backlog >= config_.max_outbound_bytes) {
     conn.read_paused = true;
     backpressure_pauses_->add();
-    backend_->pause_reads(conn_id);
+    backend_.pause_reads(conn_id);
   } else if (conn.read_paused &&
              backlog < config_.max_outbound_bytes / 2) {
     conn.read_paused = false;
-    backend_->resume_reads(conn_id);
+    backend_.resume_reads(conn_id);
   }
 }
 
@@ -337,7 +322,7 @@ void EdgeServer::on_data(std::uint64_t conn_id, const std::uint8_t* data,
   }
   conn.compact_in();
 
-  backend_->flush(conn_id);
+  backend_.flush(conn_id);
   // flush() may have discovered a dead peer and fired on_closed, which
   // erased the state; re-evaluate against the map, not the stale ref.
   reevaluate_backpressure(conn_id);
@@ -395,18 +380,18 @@ void EdgeServer::drain_completed() {
   // discovers a dead peer erases from conn_states_ via on_closed.
   flush_scratch_.clear();
   for (const auto& [id, conn] : conn_states_) {
-    if (backend_->outbound_bytes(id) > 0) flush_scratch_.push_back(id);
+    if (backend_.outbound_bytes(id) > 0) flush_scratch_.push_back(id);
   }
   for (const std::uint64_t id : flush_scratch_) {
     if (conn_states_.find(id) == conn_states_.end()) continue;
-    backend_->flush(id);
+    backend_.flush(id);
     reevaluate_backpressure(id);
   }
 }
 
 void EdgeServer::io_loop() {
   while (true) {
-    const util::Status polled = backend_->poll(kPollWaitMs);
+    const util::Status polled = backend_.poll(kPollWaitMs);
     if (!polled.ok()) return;  // the engine itself broke: give up
     drain_completed();
     if (queue_depth_ != nullptr) {
@@ -418,8 +403,8 @@ void EdgeServer::io_loop() {
       // Workers are already joined, so completed_ is final: one more
       // drain + best-effort flush, then close everything.
       drain_completed();
-      connections_closed_->add(backend_->open_connection_count());
-      backend_->shutdown_flush();
+      connections_closed_->add(backend_.open_connection_count());
+      backend_.shutdown_flush();
       conn_states_.clear();
       return;
     }

@@ -1,14 +1,12 @@
 // edge_serverd's serving core: ONE protocol state machine (framing,
-// admission, worker hashing, byte-budget backpressure, metrics) written
-// against the backend-neutral net::IoBackend contract, plus a worker
-// pool wrapping ConcurrentEdge behind the wire format (net/wire.hpp).
-// The IO engine underneath -- epoll readiness or io_uring completions --
-// is a ServerConfig choice; see net/io_backend.hpp for the contract and
-// the selection rules (PRIVLOCAD_NET_BACKEND, loud failure on an
-// unsatisfiable explicit request).
+// admission, worker hashing, byte-budget backpressure, metrics) that
+// receives socket events through net::IoSink, plus a worker pool
+// wrapping ConcurrentEdge behind the wire format (net/wire.hpp). The IO
+// engine underneath is net::EpollBackend (net/epoll_backend.hpp), which
+// owns the readiness mechanics and makes no policy decision.
 //
 // Threading model:
-//   - ONE IO thread owns the backend and every connection: accepts,
+//   - ONE IO thread owns the engine and every connection: accepts,
 //     reads, frames, admits, and writes all happen in IoSink callbacks
 //     or between poll() batches on that thread, so connection state
 //     needs no locking.
@@ -42,7 +40,7 @@
 //     over budget; see net/admission.hpp). Either way the decision is
 //     made at push, so served + shed == sent holds exactly.
 //   - A connection whose outbound buffer exceeds max_outbound_bytes
-//     stops being read (backend pause_reads) until the peer drains it
+//     stops being read (EpollBackend::pause_reads) until the peer drains it
 //     below half the cap -- TCP backpressure propagates to the client
 //     instead of the server buffering without bound.
 //   - net.queue_delay_us / net.service_time_us split every served
@@ -61,6 +59,7 @@
 
 #include "core/concurrent_edge.hpp"
 #include "net/admission.hpp"
+#include "net/epoll_backend.hpp"
 #include "net/io_backend.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -87,9 +86,6 @@ inline constexpr const char* kQueueDelayUs = "net.queue_delay_us";
 inline constexpr const char* kServiceTimeUs = "net.service_time_us";
 /// Instantaneous total backlog across worker queues (sampled on admit).
 inline constexpr const char* kQueueDepth = "net.queue_depth";
-/// The resolved IoBackendKind, as a gauge (1 = epoll, 2 = io_uring), so
-/// a metrics dump says which engine actually served.
-inline constexpr const char* kBackend = "net.backend";
 }  // namespace net_metrics
 
 /// Validated aggregate, EdgeConfig-style: mutate via the fluent with_*
@@ -109,10 +105,6 @@ struct ServerConfig {
   /// Artificial per-request service delay (test hook: makes a tiny
   /// serve() long enough to force queueing/shedding deterministically).
   std::uint32_t service_delay_us = 0;
-  /// Which IO engine serves the sockets. kAuto defers to
-  /// PRIVLOCAD_NET_BACKEND and then capability; an explicit request this
-  /// build/kernel cannot satisfy fails EdgeServer::create loudly.
-  IoBackendKind backend = IoBackendKind::kAuto;
   /// Which shed rule the worker queues apply at admission.
   AdmissionPolicy admission = AdmissionPolicy::kQueueCapacity;
   /// The projected-queue-delay budget for kLatencyBudget (ignored by
@@ -144,11 +136,6 @@ struct ServerConfig {
     copy.service_delay_us = value;
     return copy;
   }
-  ServerConfig with_backend(IoBackendKind value) const {
-    ServerConfig copy = *this;
-    copy.backend = value;
-    return copy;
-  }
   ServerConfig with_admission(AdmissionPolicy value) const {
     ServerConfig copy = *this;
     copy.admission = value;
@@ -165,9 +152,9 @@ struct ServerConfig {
 };
 
 /// The server. Construct through create() -- it validates the config,
-/// resolves + constructs the IO backend, binds the socket, and returns a
-/// typed Status for every failure (bad port, bind failure, unsatisfiable
-/// backend request) instead of throwing. start() spawns the threads;
+/// binds the socket, sets up the IO engine, and returns a typed Status
+/// for every failure (bad port, bind failure, epoll/eventfd setup)
+/// instead of throwing. start() spawns the threads;
 /// stop() (or the destructor) drains and joins them. Between the two,
 /// clients connect to 127.0.0.1:port() and speak the wire format. The
 /// lifecycle is one-shot: a stopped server cannot be started again.
@@ -182,7 +169,7 @@ class EdgeServer final : private IoSink {
 
   /// Spawns the worker + IO threads. kFailedPrecondition if already
   /// started, or if stop() has run (it closed the listen socket, the
-  /// eventfd and the backend).
+  /// eventfd and the IO engine).
   util::Status start();
 
   /// Idempotent. Closes the admission queues (workers drain their
@@ -193,8 +180,8 @@ class EdgeServer final : private IoSink {
   /// The bound port; valid as soon as create() returns.
   std::uint16_t port() const { return port_; }
 
-  /// The engine actually serving (resolved: kEpoll or kIoUring).
-  IoBackendKind backend_kind() const { return backend_kind_; }
+  /// The engine serving the sockets (always kEpoll).
+  IoBackendKind backend_kind() const { return IoBackendKind::kEpoll; }
 
   core::ConcurrentEdge& edge() { return edge_; }
   /// The shared registry (edge_metrics + net_metrics).
@@ -202,7 +189,7 @@ class EdgeServer final : private IoSink {
 
  private:
   /// Protocol-side per-connection state: the inbound framing buffer and
-  /// the core's own view of backpressure. The backend owns the fd and
+  /// the core's own view of backpressure. The engine owns the fd and
   /// the outbound buffer. `in` is head-indexed so framing never
   /// memmoves the whole buffer per event.
   struct ConnState {
@@ -217,11 +204,9 @@ class EdgeServer final : private IoSink {
     ServeResponseFrame frame{};
   };
 
-  EdgeServer(core::EdgeConfig edge_config, ServerConfig server_config,
-             IoBackendKind backend_kind,
-             std::unique_ptr<IoBackend> backend);
+  EdgeServer(core::EdgeConfig edge_config, ServerConfig server_config);
 
-  // IoSink (all on the IO thread, from inside backend_->poll()).
+  // IoSink (all on the IO thread, from inside backend_.poll()).
   void on_accept(std::uint64_t conn_id) override;
   void on_data(std::uint64_t conn_id, const std::uint8_t* data,
                std::size_t n) override;
@@ -247,8 +232,7 @@ class EdgeServer final : private IoSink {
 
   ServerConfig config_;
   core::ConcurrentEdge edge_;
-  IoBackendKind backend_kind_ = IoBackendKind::kEpoll;
-  std::unique_ptr<IoBackend> backend_;
+  EpollBackend backend_;
 
   UniqueFd listen_fd_;
   UniqueFd wake_fd_;

@@ -546,7 +546,6 @@ TEST(ServerConfig, FluentCopiesComposeWithoutMutatingTheSource) {
   const net::ServerConfig tuned =
       base.with_workers(7)
           .with_queue_capacity(99)
-          .with_backend(net::IoBackendKind::kEpoll)
           .with_admission(net::AdmissionPolicy::kLatencyBudget)
           .with_latency_budget_us(1234)
           .with_service_delay_us(55)
@@ -554,7 +553,6 @@ TEST(ServerConfig, FluentCopiesComposeWithoutMutatingTheSource) {
           .with_port(8080);
   EXPECT_EQ(tuned.workers, 7u);
   EXPECT_EQ(tuned.queue_capacity, 99u);
-  EXPECT_EQ(tuned.backend, net::IoBackendKind::kEpoll);
   EXPECT_EQ(tuned.admission, net::AdmissionPolicy::kLatencyBudget);
   EXPECT_EQ(tuned.latency_budget_us, 1234u);
   EXPECT_EQ(tuned.service_delay_us, 55u);
@@ -562,7 +560,6 @@ TEST(ServerConfig, FluentCopiesComposeWithoutMutatingTheSource) {
   EXPECT_EQ(tuned.port, 8080u);
   // The source is untouched.
   EXPECT_EQ(base.workers, 2u);
-  EXPECT_EQ(base.backend, net::IoBackendKind::kAuto);
   EXPECT_EQ(base.port, 0u);
   EXPECT_TRUE(tuned.validated().ok());
 }
@@ -586,25 +583,6 @@ TEST(ServerConfig, ValidatedNamesEachBadField) {
                 .validated()
                 .code(),
             util::ErrorCode::kInvalidArgument);
-}
-
-TEST(IoBackendSelection, NamesRoundTripAndRejectGarbage) {
-  EXPECT_STREQ(net::io_backend_kind_name(net::IoBackendKind::kAuto),
-               "auto");
-  EXPECT_STREQ(net::io_backend_kind_name(net::IoBackendKind::kEpoll),
-               "epoll");
-  EXPECT_STREQ(net::io_backend_kind_name(net::IoBackendKind::kIoUring),
-               "io_uring");
-  EXPECT_EQ(net::parse_io_backend_kind("epoll").value(),
-            net::IoBackendKind::kEpoll);
-  EXPECT_EQ(net::parse_io_backend_kind("io_uring").value(),
-            net::IoBackendKind::kIoUring);
-  EXPECT_EQ(net::parse_io_backend_kind("auto").value(),
-            net::IoBackendKind::kAuto);
-  EXPECT_EQ(net::parse_io_backend_kind(nullptr).value(),
-            net::IoBackendKind::kAuto);  // unset env means auto
-  EXPECT_EQ(net::parse_io_backend_kind("uring").status().code(),
-            util::ErrorCode::kParseError);
 }
 
 TEST(EdgeServer, CreateRejectsBadConfigWithTypedStatus) {
@@ -633,26 +611,6 @@ TEST(EdgeServer, CreateReportsBindFailureAsTypedStatus) {
           net::ServerConfig{}.with_port(first->port()));
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), util::ErrorCode::kIoError);
-}
-
-TEST(EdgeServer, ExplicitIoUringRequestNeverSilentlyDowngrades) {
-  util::Result<std::unique_ptr<net::EdgeServer>> created =
-      net::EdgeServer::create(
-          small_edge_config(),
-          net::ServerConfig{}.with_backend(net::IoBackendKind::kIoUring));
-  if (net::io_uring_available()) {
-    // Satisfiable: the explicit request must land on io_uring exactly.
-    ASSERT_TRUE(created.ok()) << created.status().to_string();
-    EXPECT_EQ(created.value()->backend_kind(),
-              net::IoBackendKind::kIoUring);
-  } else {
-    // Unsatisfiable: a LOUD typed error, never an epoll downgrade.
-    ASSERT_FALSE(created.ok());
-    EXPECT_EQ(created.status().code(),
-              util::ErrorCode::kFailedPrecondition);
-    EXPECT_NE(created.status().message().find("io_uring"),
-              std::string::npos);
-  }
 }
 
 TEST(EdgeServer, StartTwiceIsATypedError) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -276,11 +277,13 @@ constexpr std::size_t kColumnElementBytes[] = {
 
 enum Column : std::size_t {
   kWinHead = 4,
+  kWinCount = 5,
   kProfCount = 8,
   kTopCount = 10,
   kEntCount = 12,
   kTopIdx = 16,
   kEntCandCount = 20,
+  kWinPrev = 26,
 };
 
 /// Byte offset of element 0 of `column` in a single-section snapshot.
@@ -297,14 +300,29 @@ std::size_t column_data_offset(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-/// Saves ten users (each with one frozen top location and one pending
-/// check-in), overwrites element 0 of `column` with `value`, recomputes
-/// the checksum so the damage passes the header check, and expects the
-/// open to fail as a parse error naming `message`, leaving the device
-/// empty. The undamaged file must still open on the same device.
-template <typename T>
-void expect_damage_rejected(std::size_t column, T value,
-                            const std::string& message) {
+/// Element `i` of a 4-byte column, read and overwritten in place.
+std::uint32_t column_u32(const std::vector<std::uint8_t>& bytes,
+                         std::size_t column, std::size_t i) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + column_data_offset(bytes, column) + 4 * i,
+              sizeof(value));
+  return value;
+}
+void set_column_u32(std::vector<std::uint8_t>& bytes, std::size_t column,
+                    std::size_t i, std::uint32_t value) {
+  std::memcpy(bytes.data() + column_data_offset(bytes, column) + 4 * i,
+              &value, sizeof(value));
+}
+
+using Damage = std::function<void(std::vector<std::uint8_t>&)>;
+
+/// Saves ten users (each with one frozen top location and `pending`
+/// pending check-ins), applies `damage` to the file, recomputes the
+/// checksum so the damage passes the header check, and expects the open
+/// to fail as a parse error naming `message`, leaving the device empty.
+/// The undamaged file must still open on the same device.
+void expect_file_damage_rejected(std::uint32_t pending, const Damage& damage,
+                                 const std::string& message) {
   const std::string good_path = temp_path("good.snap");
   const std::string bad_path = temp_path("bad.snap");
   core::EdgeDevice saved(fast_config().with_seed(8));
@@ -313,11 +331,14 @@ void expect_damage_rejected(std::size_t column, T value,
     saved.import_history(u, history_at(u, home, 40));
     ASSERT_EQ(saved.report_location(u, home, 1500).kind,
               core::ReportKind::kTopLocation);
+    for (std::uint32_t i = 1; i < pending; ++i) {
+      (void)saved.report_location(u, home, 1500 + i);
+    }
   }
   ASSERT_TRUE(saved.save_snapshot(good_path).ok());
   std::vector<std::uint8_t> bytes = read_file(good_path);
-  std::memcpy(bytes.data() + column_data_offset(bytes, column), &value,
-              sizeof(value));
+  ASSERT_EQ(column_u32(bytes, kWinCount, 0), pending);
+  damage(bytes);
   const std::uint64_t checksum =
       core::snapshot::xxh64(bytes.data() + core::snapshot::kHeaderBytes,
                             bytes.size() - core::snapshot::kHeaderBytes);
@@ -335,6 +356,20 @@ void expect_damage_rejected(std::size_t column, T value,
   EXPECT_EQ(device.user_count(), 10u);
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
+}
+
+/// Overwrites element 0 of `column` with `value` (one pending check-in
+/// per user).
+template <typename T>
+void expect_damage_rejected(std::size_t column, T value,
+                            const std::string& message) {
+  expect_file_damage_rejected(
+      1,
+      [&](std::vector<std::uint8_t>& bytes) {
+        std::memcpy(bytes.data() + column_data_offset(bytes, column), &value,
+                    sizeof(value));
+      },
+      message);
 }
 
 TEST(TableStore, RejectsWrongHeader) {
@@ -371,6 +406,52 @@ TEST(TableStore, RejectsGapInEntryIndices) {
 TEST(TableStore, RejectsMalformedNumbers) {
   expect_damage_rejected(kWinHead, std::uint32_t{0xFFFFFFF0u},
                          "window head outside");
+}
+
+// Every way a pending-window chain can break must be refused at open,
+// not walked at the user's next window rebuild (where a bad link reads,
+// and can write, outside the window columns).
+TEST(TableStore, RejectsBrokenWindowChains) {
+  constexpr std::uint32_t kPending = 4;
+  using Bytes = std::vector<std::uint8_t>;
+  const auto head = [](const Bytes& b, std::size_t row) {
+    return column_u32(b, kWinHead, row);
+  };
+  const auto prev = [](const Bytes& b, std::uint32_t record) {
+    return column_u32(b, kWinPrev, record);
+  };
+  const struct {
+    const char* name;
+    Damage damage;
+    const char* message;
+  } cases[] = {
+      {"link past the end",
+       [&](Bytes& b) { set_column_u32(b, kWinPrev, head(b, 0), 1000000); },
+       "window link outside"},
+      {"cycle",
+       [&](Bytes& b) {
+         set_column_u32(b, kWinPrev, prev(b, head(b, 0)), head(b, 0));
+       },
+       "window link not to an older record"},
+      {"chain longer than its count",
+       [&](Bytes& b) { set_column_u32(b, kWinCount, 0, kPending - 1); },
+       "window chain longer than its count"},
+      {"chain shorter than its count",
+       [&](Bytes& b) { set_column_u32(b, kWinCount, 0, kPending + 1); },
+       "window chain shorter than its count"},
+      {"two rows share a link",
+       [&](Bytes& b) {
+         set_column_u32(b, kWinPrev, head(b, 1), prev(b, head(b, 0)));
+       },
+       "window record linked twice"},
+      {"two rows share a head",
+       [&](Bytes& b) { set_column_u32(b, kWinHead, 1, head(b, 0)); },
+       "window record linked twice"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    expect_file_damage_rejected(kPending, c.damage, c.message);
+  }
 }
 
 TEST(ObfuscationTable, RestoreValidation) {
